@@ -1,12 +1,14 @@
 """Chern-class evaluation for formal bundles on projective space.
 
-Everything reduces to three closed-form rules plus Whitney multiplicativity:
+By the splitting principle every bundle here is a multiset of Chern roots
+``{c: e}`` with total class ``prod (1 + c*h)^e``:
 
-* ``c(O(k)) = 1 + k*h``,
-* ``c(Omega^1) = (1 - h)^(l+1)`` on P^l (Euler sequence),
-* ``c(O_D) = (1 - h)^(-1)`` for a hyperplane D (twisting sequence),
+* ``O(k)`` is the root ``k`` once,
+* ``Omega^1`` on P^l is the root ``-1`` with exponent ``l+1`` (Euler sequence),
+* ``O_D`` for a hyperplane D is the root ``-1`` with exponent ``-1``
+  (twisting sequence),
 
-with a formally subtracted summand contributing the inverse of its factor.
+and a formally subtracted summand negates its exponents.
 On top of the evaluator sit the three counting routines: the excess-bundle
 integral, its independent binomial counterpart, and the Thom-Porteous node
 count used to cross-check the embedding table.
@@ -18,9 +20,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence, Union
 
-from .series import TruncatedSeries, binomial_series, int_pow, invert, mul
+from .series import TruncatedSeries, binomial_series, mul
 
 
 class HypothesisError(ValueError):
@@ -83,30 +86,25 @@ class BundleExpr:
         return BundleExpr(self.terms + flipped)
 
 
-def _atom_chern(atom: Atom, ell: int) -> TruncatedSeries:
-    if isinstance(atom, LineTwist):
-        return TruncatedSeries.from_polynomial((1, atom.twist), ell)
-    if isinstance(atom, ProjectiveCotangent):
-        return binomial_series(-1, ell + 1, ell)
-    return invert(TruncatedSeries.from_polynomial((1, -1), ell))
-
-
 def total_chern(expr: BundleExpr, ell: int) -> TruncatedSeries:
     """Total Chern class of ``expr`` on P^ell, truncated at order ell.
 
-    Repeated atoms are grouped and raised to their net multiplicity by
-    binary powering; Whitney multiplicativity makes the grouping exact.
+    Each atom is a Chern root with a signed exponent; the exponents of equal
+    roots are summed and each remaining root contributes one binomial series
+    ``(1 + c*h)^e``.  Whitney multiplicativity makes the grouping exact.
     """
     if ell < 0:
         raise ValueError(f"ambient dimension must be nonnegative, got {ell}")
-    net: Counter[Atom] = Counter()
+    roots: Counter[int] = Counter()
     for sign, atom in expr.terms:
-        net[atom] += sign
-    result = TruncatedSeries.one(ell)
-    for atom, exponent in net.items():
-        if exponent:
-            result = mul(result, int_pow(_atom_chern(atom, ell), exponent))
-    return result
+        if isinstance(atom, LineTwist):
+            roots[atom.twist] += sign
+        elif isinstance(atom, ProjectiveCotangent):
+            roots[-1] += sign * (ell + 1)
+        else:
+            roots[-1] -= sign
+    factors = [binomial_series(c, e, ell) for c, e in roots.items() if c and e]
+    return reduce(mul, factors) if factors else TruncatedSeries.one(ell)
 
 
 @dataclass(frozen=True)

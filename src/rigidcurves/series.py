@@ -129,7 +129,7 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
             if ai:
                 for j in range(n + 1 - i):
                     out_int[i + j] += ai * bn[j]
-        return TruncatedSeries(n, tuple(Fraction(x) for x in out_int))
+        return TruncatedSeries(n, tuple(out_int))
     out = [Fraction(0)] * (n + 1)
     for i, ai in enumerate(a.coeffs):
         if ai:
@@ -154,7 +154,7 @@ def invert(a: TruncatedSeries) -> TruncatedSeries:
             for j in range(1, k + 1):
                 acc += an[j] * out_int[k - j]
             out_int[k] = -s * acc
-        return TruncatedSeries(n, tuple(Fraction(x) for x in out_int))
+        return TruncatedSeries(n, tuple(out_int))
     inv0 = 1 / c0
     out = [inv0] + [Fraction(0)] * n
     for k in range(1, n + 1):
@@ -186,12 +186,16 @@ def binomial_series(c: int, e: int, order: int) -> TruncatedSeries:
 
     Coefficient of h^k is binom(e, k) * c**k with the generalized binomial
     coefficient, so negative exponents expand into the full binomial series.
+    binom(e, k) is an integer for every integer ``e``, so it is carried as a
+    plain int; a non-integer exponent is rejected rather than floored.
     """
-    coeffs: list[Rational] = [Fraction(1)]
-    binom = Fraction(1)
+    if not isinstance(e, int):
+        raise TypeError(f"exponent must be an int, got {type(e).__name__}")
+    coeffs: list[Rational] = [1]
+    binom = 1
     c_power = 1
     for k in range(1, order + 1):
-        binom = binom * (e - k + 1) / k
+        binom = binom * (e - k + 1) // k
         c_power *= c
         coeffs.append(binom * c_power)
     return TruncatedSeries(order, tuple(coeffs))

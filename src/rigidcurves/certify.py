@@ -162,61 +162,36 @@ def stated_conditions(cicy: CicyType, d: int, g: int) -> StatedVerdict:
     case = _STATED_CASES[cicy]
     m = case.half_degree
 
-    genus_ok = g >= 0
-    range_ok = d >= 2 * g - 3
-    exceptional = case.exceptional is not None and (d, g) == case.exceptional
-    bound_ok = 4 * m * g < d * d
-    cap_ok = g < case.genus_cap
-    not_forbidden = (d, g) != case.forbidden
-    slack_ok = d > 2 * g - 2 or d > g + m
-
-    clauses = [
-        Clause("genus-nonnegative", genus_ok, f"g={g}"),
-        Clause("degree-range", range_ok, f"d={d} >= 2g-3={2 * g - 3}"),
+    # Each rule is (clause, the ``holds`` value on which it decides, the
+    # reason it then gives); the first rule that decides sets the reason.
+    rules = [
+        (Clause("genus-nonnegative", g >= 0, f"g={g}"), False, "genus-negative"),
+        (Clause("degree-range", d >= 2 * g - 3, f"d={d} >= 2g-3={2 * g - 3}"),
+         False, "degree-out-of-range"),
     ]
     if case.exceptional is not None:
-        clauses.append(
-            Clause("exceptional-pair", exceptional, f"(d,g)={case.exceptional}")
-        )
-    clauses += [
-        Clause(
-            "genus-degree-bound",
-            bound_ok,
-            f"{4 * m}*g={4 * m * g} < d^2={d * d}",
-        ),
-        Clause("genus-cap", cap_ok, f"g={g} < {case.genus_cap}"),
-        Clause(
-            "forbidden-pair-avoided",
-            not_forbidden,
-            f"(d,g) != {case.forbidden}",
-        ),
-        Clause(
-            "degree-dominates",
-            slack_ok,
-            f"d > 2g-2={2 * g - 2} or d > g+{m}={g + m}",
-        ),
+        rules.append((Clause("exceptional-pair", (d, g) == case.exceptional,
+                             f"(d,g)={case.exceptional}"),
+                      True, "exceptional-pair"))
+    rules += [
+        (Clause("genus-degree-bound", 4 * m * g < d * d,
+                f"{4 * m}*g={4 * m * g} < d^2={d * d}"),
+         False, "genus-degree-bound-failed"),
+        (Clause("genus-cap", g < case.genus_cap, f"g={g} < {case.genus_cap}"),
+         False, "genus-cap-exceeded"),
+        (Clause("forbidden-pair-avoided", (d, g) != case.forbidden,
+                f"(d,g) != {case.forbidden}"),
+         False, "forbidden-pair"),
+        (Clause("degree-dominates", d > 2 * g - 2 or d > g + m,
+                f"d > 2g-2={2 * g - 2} or d > g+{m}={g + m}"),
+         False, "degree-too-small"),
     ]
-
-    accept = genus_ok and range_ok and (
-        exceptional or (bound_ok and cap_ok and not_forbidden and slack_ok)
+    reason = next(
+        (given for clause, decides, given in rules if clause.holds == decides),
+        "accepted",
     )
-    if not genus_ok:
-        reason = "genus-negative"
-    elif not range_ok:
-        reason = "degree-out-of-range"
-    elif exceptional:
-        reason = "exceptional-pair"
-    elif not bound_ok:
-        reason = "genus-degree-bound-failed"
-    elif not cap_ok:
-        reason = "genus-cap-exceeded"
-    elif not not_forbidden:
-        reason = "forbidden-pair"
-    elif not slack_ok:
-        reason = "degree-too-small"
-    else:
-        reason = "accepted"
-    return StatedVerdict(accept, reason, tuple(clauses))
+    accept = reason in ("accepted", "exceptional-pair")
+    return StatedVerdict(accept, reason, tuple(c for c, _, _ in rules))
 
 
 @dataclass(frozen=True)
@@ -281,19 +256,13 @@ def _assess_row(row: EmbeddingRow, d: int, g: int) -> RowAssessment:
     verdict = knutsen_exists(row.m, d, g)
     margin_ok = row.nodes >= g + 2
     route = nonspeciality_route(row.m, d, g)
-    viable = (
-        verdict.exists
-        and margin_ok
-        and route.route is not NonspecialityRoute.FAIL
+    chain = (
+        ("k3-existence", verdict.exists),
+        ("node-margin", margin_ok),
+        ("nonspeciality", route.route is not NonspecialityRoute.FAIL),
     )
-    if viable:
-        failure = None
-    elif not verdict.exists:
-        failure = "k3-existence"
-    elif not margin_ok:
-        failure = "node-margin"
-    else:
-        failure = "nonspeciality"
+    failure = next((name for name, holds in chain if not holds), None)
+    viable = failure is None
     count = rigid_count(row.nodes, g) if viable else None
     return RowAssessment(row, verdict, margin_ok, route, viable, count, failure)
 
@@ -316,7 +285,7 @@ def derived_conditions(cicy: CicyType, d: int, g: int) -> DerivedVerdict:
         )
     assessments = []
     chosen: RowAssessment | None = None
-    for row in node_table():
+    for row in _NODE_TABLE:
         if row.cicy is not cicy:
             continue
         assessment = _assess_row(row, d, g)
@@ -390,12 +359,7 @@ def certify(cicy: CicyType, d: int, g: int) -> Certificate:
         warnings.append(WARN_DISAGREEMENT)
     if any(a.knutsen.extrapolated for a in derived.rows):
         warnings.append(WARN_EXTRAPOLATED)
-    if any(
-        a.viable
-        and degeneracy_count(a.row.cicy.degrees, a.row.k3_degrees)
-        != a.row.nodes
-        for a in derived.rows
-    ):
+    if any(a.viable and a.row in _DISCREPANT_ROWS for a in derived.rows):
         warnings.append(WARN_TABLE_DISCREPANCY)
     return Certificate(cicy, d, g, stated, derived, tuple(warnings))
 
@@ -419,16 +383,22 @@ class TableCheck:
         }
 
 
+# The Porteous count depends only on the fixed table, so every row is checked
+# once, here; certificates and ``table --verify`` read these checks.
+_TABLE_CHECKS = tuple(
+    TableCheck(row, degeneracy_count(row.cicy.degrees, row.k3_degrees))
+    for row in _NODE_TABLE
+)
+_DISCREPANT_ROWS = frozenset(c.row for c in _TABLE_CHECKS if not c.agree)
+
+
 def verify_node_table() -> list[TableCheck]:
-    """Recompute every node count via the degeneracy-locus formula.
+    """Every node count next to its degeneracy-locus value.
 
     Both values are reported side by side; the table itself is never
     altered, even where the computation disagrees with it.
     """
-    return [
-        TableCheck(row, degeneracy_count(row.cicy.degrees, row.k3_degrees))
-        for row in node_table()
-    ]
+    return list(_TABLE_CHECKS)
 
 
 def enumerate_region(
@@ -445,7 +415,8 @@ def enumerate_region(
             f"d_max={d_max} exceeds the enumeration guard {ENUMERATION_GUARD}"
         )
     certificates = []
-    for g in range(g_max + 1):
+    # rows with 2g - 3 > d_max are empty
+    for g in range(min(g_max, (d_max + 3) // 2) + 1):
         for d in range(max(1, 2 * g - 3), d_max + 1):
             certificates.append(certify(cicy, d, g))
     return certificates

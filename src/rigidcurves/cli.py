@@ -55,13 +55,9 @@ def _dashed(degrees: Sequence[int]) -> str:
     return "-".join(str(x) for x in degrees)
 
 
-def _parse_type(text: str) -> CicyType:
-    return CicyType.from_string(text)
-
-
 def run_certify(args: argparse.Namespace) -> int:
     try:
-        cicy = _parse_type(args.type)
+        cicy = CicyType.from_string(args.type)
     except ValueError as exc:
         return _fail(str(exc))
     if args.d < 0 or args.g < 0:
@@ -89,7 +85,7 @@ def _certificate_row(certificate: Certificate) -> list[str]:
 
 def run_enumerate(args: argparse.Namespace) -> int:
     try:
-        cicy = _parse_type(args.type)
+        cicy = CicyType.from_string(args.type)
     except ValueError as exc:
         return _fail(str(exc))
     try:

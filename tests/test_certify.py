@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from rigidcurves.certify import (
@@ -96,6 +98,19 @@ class TestStatedConditions:
     def test_degree_gate(self):
         verdict = stated_conditions(CicyType.QUINTIC, 4, 5)
         assert not verdict.accept and verdict.reason == "degree-out-of-range"
+
+    @pytest.mark.parametrize(
+        "pair, reason",
+        [
+            ((5, -1), "genus-negative"),
+            ((3, 2), "genus-degree-bound-failed"),  # 8*2 = 16 >= 9
+            ((7, 5), "degree-too-small"),  # 7 <= 2g-2 = 8 and 7 <= g+2 = 7
+        ],
+    )
+    def test_quintic_rejection_reasons(self, pair, reason):
+        d, g = pair
+        verdict = stated_conditions(CicyType.QUINTIC, d, g)
+        assert not verdict.accept and verdict.reason == reason
 
     @pytest.mark.parametrize(
         "cicy, pair",
@@ -262,6 +277,25 @@ class TestVerifyNodeTable:
         after = [(r.cicy, r.k3_degrees, r.nodes) for r in node_table()]
         assert before == after
 
+    def test_porteous_count_never_recomputed(self, monkeypatch):
+        expected = verify_node_table()
+
+        def refuse(*args):
+            raise AssertionError("degeneracy_count called after import")
+
+        monkeypatch.setattr("rigidcurves.chern.degeneracy_count", refuse)
+        monkeypatch.setattr(
+            sys.modules["rigidcurves.certify"], "degeneracy_count", refuse,
+            raising=False,
+        )
+        certificate = certify(CicyType.BICUBIC, 6, 2)
+        assert certificate.derived.chosen.row.k3_degrees == (2, 2, 2)
+        assert WARN_TABLE_DISCREPANCY in certificate.warnings
+        checks = verify_node_table()
+        assert checks == expected
+        checks.clear()
+        assert verify_node_table() == expected
+
 
 class TestEnumerate:
     def test_rational_sweep_on_quintic(self):
@@ -299,3 +333,9 @@ class TestEnumerate:
             enumerate_region(CicyType.QUINTIC, 0, -2)
         with pytest.raises(ValueError):
             enumerate_region(CicyType.QUINTIC, 10_001, 0)
+
+    def test_genus_beyond_degree_reach_adds_nothing(self):
+        # g > (d_max + 3) // 2 has no d with 2g - 3 <= d <= d_max
+        assert enumerate_region(CicyType.QUINTIC, 10, 10**9) == enumerate_region(
+            CicyType.QUINTIC, 10, 6
+        )

@@ -117,6 +117,17 @@ class TestEnumerateCommand:
         assert code == 2
         assert "guard" in err
 
+    def test_genus_bound_past_degree_reach_changes_nothing(self):
+        def csv(g_max):
+            return run_cli(
+                ["enumerate", "--type", "5", "--d-max", "10", "--g-max", g_max,
+                 "--format", "csv"]
+            )
+
+        huge, small = csv("1000000000"), csv("6")
+        assert huge[0] == small[0] == 0
+        assert huge[1] == small[1]
+
 
 class TestTableCommand:
     def test_plain_table(self):

@@ -1,0 +1,81 @@
+"""Golden CLI outputs: stdout sha256 and exit code for fixed invocations.
+
+Any change to a byte of these outputs, or to an exit code, fails here;
+re-pin only for a deliberate change of output.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from rigidcurves.cli import main
+
+GOLDEN = [
+    (
+        ["enumerate", "--type", "5", "--d-max", "20", "--g-max", "6",
+         "--format", "json"],
+        0,
+        "a7f89bd82b8441b003eb6972f3dc21bbd33b0e4a65236f292b9dd76d3cc59d12",
+    ),
+    (
+        ["enumerate", "--type", "4,2", "--d-max", "20", "--g-max", "6",
+         "--format", "json"],
+        0,
+        "c39f3d0fb61a3b90a52c30e4a0ecc0e3c88d1f36f22cb008d3185b3607210c4b",
+    ),
+    (
+        ["enumerate", "--type", "3,3", "--d-max", "20", "--g-max", "6",
+         "--format", "json"],
+        0,
+        "81366832b75d1cd2eb433c5652a8eaac26fda21dd3e9fd74821db2b0e8a66633",
+    ),
+    (
+        ["enumerate", "--type", "3,2,2", "--d-max", "20", "--g-max", "6",
+         "--format", "json"],
+        0,
+        "6ef4d12854a66e7668ebb9d69a79e6223965e18c469ee3744b853168cf2b83e9",
+    ),
+    (
+        ["enumerate", "--type", "2,2,2,2", "--d-max", "20", "--g-max", "6",
+         "--format", "json"],
+        0,
+        "6b3495118d686d284b85d3b248d914dc8900e0f37cb3bcce637da4ffedc5c897",
+    ),
+    (
+        ["table", "--verify", "--format", "json"],
+        3,
+        "b2d8ccdc88829bfd4916a6b0cec9e50d4619fe48445b6be3dce0909fa4396278",
+    ),
+    (
+        ["table", "--verify", "--format", "csv"],
+        3,
+        "af3b4cc4b2e5f6f0812494de53cb5b6d2f7bdc2c2aafd7b1cc501e8baf178e1f",
+    ),
+    (
+        ["certify", "--type", "3,3", "--d", "3", "--g", "1"],
+        0,
+        "ed3d49c9f6271f6529716f288902a024373dd684296a422b6cbde8d0c8d8290c",
+    ),
+    (
+        ["certify", "--type", "2,2,2,2", "--d", "14", "--g", "8"],
+        1,
+        "26d144e4cb1bc7773fb2b38701dbf9704624564f583b5779b11065c507028d68",
+    ),
+    (
+        ["count", "--n", "36", "--ell", "17"],
+        0,
+        "6279d14e640d756f78cdc302365b3890942288d5f44614641ef72d3a62269b6d",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest", GOLDEN, ids=[" ".join(a) for a, _, _ in GOLDEN]
+)
+def test_golden_output(argv, code, digest):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == code
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest

@@ -13,6 +13,7 @@ import sys
 from typing import Sequence
 
 from .certify import (
+    ENUMERATION_GUARD,
     Certificate,
     CicyType,
     certify,
@@ -62,8 +63,11 @@ def run_certify(args: argparse.Namespace) -> int:
         return _fail(str(exc))
     if args.d < 0 or args.g < 0:
         return _fail(f"d and g must be nonnegative, got d={args.d}, g={args.g}")
-    if args.format != "json":
-        return _fail("certify emits a single certificate; only json is supported")
+    if max(args.d, args.g) > ENUMERATION_GUARD:
+        return _fail(
+            f"d and g must be at most {ENUMERATION_GUARD}, "
+            f"got d={args.d}, g={args.g}"
+        )
     certificate = certify(cicy, args.d, args.g)
     _emit_json(certificate.to_dict())
     return EXIT_OK if certificate.derived.accept else EXIT_REJECTED
@@ -153,12 +157,12 @@ def run_table(args: argparse.Namespace) -> int:
 
 
 def run_count(args: argparse.Namespace) -> int:
-    if args.format != "json":
-        return _fail("count emits a single record; only json is supported")
     try:
         problem = ExcessProblem(args.n, args.ell)
     except ValueError as exc:  # HypothesisError included
         return _fail(str(exc))
+    if args.n > ENUMERATION_GUARD:
+        return _fail(f"n must be at most {ENUMERATION_GUARD}, got n={args.n}")
     series_value = excess_count(problem)
     binomial_value = rigid_count(args.n, args.ell)
     _emit_json(
@@ -188,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="family multidegree: 5 | 4,2 | 3,3 | 3,2,2 | 2,2,2,2")
     p.add_argument("--d", type=int, required=True, help="curve degree")
     p.add_argument("--g", type=int, required=True, help="curve genus")
-    p.add_argument("--format", choices=_FORMATS, default="json")
+    p.add_argument("--format", choices=("json",), default="json")
     p.set_defaults(func=run_certify)
 
     p = sub.add_parser("enumerate", help="sweep a (d, g) region")
@@ -208,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="number of nodes")
     p.add_argument("--ell", type=int, required=True,
                    help="dimension of the linear system")
-    p.add_argument("--format", choices=_FORMATS, default="json")
+    p.add_argument("--format", choices=("json",), default="json")
     p.set_defaults(func=run_count)
 
     return parser

@@ -30,6 +30,10 @@ class NonUnitError(ZeroDivisionError):
 
 
 def _exact(value: Rational) -> Fraction:
+    # an exact type test: isinstance(value, Fraction) goes through ABCMeta
+    # and costs an int coefficient as much as building its Fraction
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("coefficients must be exact rationals, not floats")
     return Fraction(value)
@@ -103,17 +107,6 @@ class TruncatedSeries:
         return " ".join(parts)
 
 
-def _integral_parts(series: TruncatedSeries) -> list[int] | None:
-    # Fast-path probe: Chern data in this package is integral almost
-    # everywhere, and plain-int convolution is ~15x faster than Fraction.
-    nums = []
-    for c in series.coeffs:
-        if c.denominator != 1:
-            return None
-        nums.append(c.numerator)
-    return nums
-
-
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product of two series truncated at their (common) order."""
     if a.order != b.order:
@@ -121,15 +114,6 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
             f"cannot multiply series of orders {a.order} and {b.order}"
         )
     n = a.order
-    an = _integral_parts(a)
-    bn = _integral_parts(b)
-    if an is not None and bn is not None:
-        out_int = [0] * (n + 1)
-        for i, ai in enumerate(an):
-            if ai:
-                for j in range(n + 1 - i):
-                    out_int[i + j] += ai * bn[j]
-        return TruncatedSeries(n, tuple(out_int))
     out = [Fraction(0)] * (n + 1)
     for i, ai in enumerate(a.coeffs):
         if ai:
@@ -144,17 +128,6 @@ def invert(a: TruncatedSeries) -> TruncatedSeries:
     if c0 == 0:
         raise NonUnitError("series with zero constant term has no inverse")
     n = a.order
-    an = _integral_parts(a)
-    if an is not None and abs(an[0]) == 1:
-        # unit integer constant term keeps the whole recurrence integral
-        s = an[0]
-        out_int = [s] + [0] * n
-        for k in range(1, n + 1):
-            acc = 0
-            for j in range(1, k + 1):
-                acc += an[j] * out_int[k - j]
-            out_int[k] = -s * acc
-        return TruncatedSeries(n, tuple(out_int))
     inv0 = 1 / c0
     out = [inv0] + [Fraction(0)] * n
     for k in range(1, n + 1):

@@ -339,3 +339,25 @@ class TestEnumerate:
         assert enumerate_region(CicyType.QUINTIC, 10, 10**9) == enumerate_region(
             CicyType.QUINTIC, 10, 6
         )
+
+    @pytest.mark.parametrize(
+        "cicy, disagreements",
+        [
+            (CicyType.QUINTIC, 0),
+            (CicyType.QUARTIC_QUADRIC, 4),
+            (CicyType.BICUBIC, 0),
+            (CicyType.CUBIC_TWO_QUADRICS, 3),
+            (CicyType.FOUR_QUADRICS, 377),
+        ],
+    )
+    def test_disagreement_oracle(self, cicy, disagreements):
+        # regression oracle for both modes: over d <= 200, g <= 40 every
+        # disagreement is stated-accept / derived-reject, and is warned about
+        certificates = enumerate_region(cicy, 200, 40)
+        split = [
+            c for c in certificates if c.stated.accept != c.derived.accept
+        ]
+        assert len(split) == disagreements
+        assert all(c.stated.accept and not c.derived.accept for c in split)
+        warned = [c for c in certificates if WARN_DISAGREEMENT in c.warnings]
+        assert warned == split

@@ -50,12 +50,25 @@ class TestCertifyCommand:
         assert code == 2
         assert "nonnegative" in err
 
-    def test_non_json_format_rejected(self):
-        code, _, err = run_cli(
-            ["certify", "--type", "5", "--d", "6", "--g", "2", "--format", "csv"]
+    @pytest.mark.parametrize(
+        "d, g",
+        [(10_001, 0), (1, 10_001), (10**2200, 0), (1, 10**4299)],
+        ids=["d-10001", "g-10001", "d-10^2200", "g-10^4299"],
+    )
+    def test_degree_or_genus_over_guard_rejected(self, d, g):
+        code, out, err = run_cli(
+            ["certify", "--type", "2,2,2,2", "--d", str(d), "--g", str(g)]
         )
         assert code == 2
-        assert "json" in err
+        assert out == ""
+        assert "error:" in err and "10000" in err
+
+    def test_guard_value_itself_allowed(self):
+        code, out, _ = run_cli(
+            ["certify", "--type", "5", "--d", "10000", "--g", "10000"]
+        )
+        assert code == 1
+        assert json.loads(out)["input"]["d"] == 10_000
 
     def test_counts_serialized_as_strings(self):
         # C(34, 17) overflows a double's 53-bit mantissa; it must arrive
@@ -183,6 +196,21 @@ class TestCountCommand:
         assert code == 2
         assert "n >= ell + 2" in err
 
+    @pytest.mark.parametrize("n, ell", [(10_001, 2), (16_000, 8_000)])
+    def test_node_count_over_guard_rejected(self, n, ell):
+        code, out, err = run_cli(["count", "--n", str(n), "--ell", str(ell)])
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and "10000" in err
+
+    def test_largest_count_under_guard(self):
+        # C(9998, 4999) has about 3000 digits, under the int-to-str limit
+        code, out, _ = run_cli(["count", "--n", "10000", "--ell", "4999"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["agree"] is True
+        assert 2900 < len(doc["excess_count"]) < 3100
+
 
 class TestCliContract:
     def test_unknown_command(self):
@@ -192,6 +220,21 @@ class TestCliContract:
     def test_missing_required_argument(self):
         code, _, _ = run_cli(["certify", "--type", "5", "--d", "6"])
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "markdown"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--type", "5", "--d", "6", "--g", "2"],
+            ["count", "--n", "16", "--ell", "3"],
+        ],
+        ids=["certify", "count"],
+    )
+    def test_non_json_format_rejected(self, argv, fmt):
+        code, out, err = run_cli(argv + ["--format", fmt])
+        assert code == 2
+        assert out == ""
+        assert "json" in err
 
     def test_help_exits_zero(self):
         code, _, _ = run_cli(["--help"])

@@ -48,6 +48,12 @@ class TestConstruction:
         s = series(1, 2, 3)
         assert all(isinstance(c, Fraction) for c in s.coeffs)
 
+    def test_fraction_coefficients_kept_as_is(self):
+        f, g = Fraction(1, 3), Fraction(2)
+        s = TruncatedSeries(1, (f, g))
+        assert s.coeffs[0] is f
+        assert s.coeffs[1] is g
+
     def test_from_polynomial_pads_and_truncates(self):
         assert TruncatedSeries.from_polynomial((1, 5), 3) == series(1, 5, 0, 0)
         assert TruncatedSeries.from_polynomial((1, 5), 0) == series(1)
@@ -79,6 +85,11 @@ class TestMul:
             assert mul(a, b) == mul(b, a)
             assert mul(mul(a, b), c) == mul(a, mul(b, c))
 
+    def test_integral_input_gives_fractions(self):
+        product = mul(series(1, 2, 3), series(4, 5, 6))
+        assert product == series(4, 13, 28)
+        assert all(type(c) is Fraction for c in product.coeffs)
+
 
 class TestInvert:
     def test_identity(self):
@@ -101,6 +112,11 @@ class TestInvert:
         for _ in range(100):
             a = random_series(rng, rng.randint(0, 12), unit=True)
             assert mul(a, invert(a)).is_one()
+
+    def test_integral_input_gives_fractions(self):
+        inverse = invert(series(1, 3, 0))
+        assert inverse == series(1, -3, 9)
+        assert all(type(c) is Fraction for c in inverse.coeffs)
 
 
 class TestIntPow:

@@ -1,14 +1,12 @@
 """Chern-class evaluation for formal bundles on projective space.
 
-By the splitting principle every bundle here is a multiset of Chern roots
-``{c: e}`` with total class ``prod (1 + c*h)^e``:
-
-* ``O(k)`` is the root ``k`` once,
-* ``Omega^1`` on P^l is the root ``-1`` with exponent ``l+1`` (Euler sequence),
-* ``O_D`` for a hyperplane D is the root ``-1`` with exponent ``-1``
-  (twisting sequence),
-
-and a formally subtracted summand negates its exponents.
+By the splitting principle (Fulton, *Intersection Theory* 3.2) a bundle is
+a multiset of Chern roots ``{c: e}`` with total class ``prod (1 + c*h)^e``:
+``O(k)`` is the root ``k`` once, ``O_D`` for a hyperplane D is the root
+``-1`` with exponent ``-1`` (twisting sequence), and a formally subtracted
+summand negates its exponents.  ``Omega^1`` on P^l is the root ``-1`` with
+exponent ``l+1`` (Euler sequence); as that depends on the dimension, a
+bundle keeps its signed multiplicity of ``Omega^1`` beside its roots.
 On top of the evaluator sit the three counting routines: the excess-bundle
 integral, its independent binomial counterpart, and the Thom-Porteous node
 count used to cross-check the embedding table.
@@ -21,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Sequence, Union
+from typing import Iterable, Sequence
 
 from .series import TruncatedSeries, binomial_series, mul
 
@@ -34,76 +32,67 @@ class InvalidEmbeddingError(ValueError):
     """Multidegree pair cannot describe a K3 surface inside a threefold."""
 
 
-@dataclass(frozen=True)
-class LineTwist:
-    """The line bundle O(k) on the ambient projective space."""
-
-    twist: int
-
-
-@dataclass(frozen=True)
-class ProjectiveCotangent:
-    """The cotangent bundle of the ambient projective space."""
-
-
-@dataclass(frozen=True)
-class HyperplaneSheaf:
-    """The structure sheaf of a hyperplane, as a sheaf on the ambient space."""
-
-
-Atom = Union[LineTwist, ProjectiveCotangent, HyperplaneSheaf]
-_ATOM_TYPES = (LineTwist, ProjectiveCotangent, HyperplaneSheaf)
+def _fold(roots: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """Normal form of a root multiset: exponents of equal roots summed, the
+    root 0 and zero exponents dropped, sorted by root."""
+    merged: Counter[int] = Counter()
+    for c, e in roots:
+        merged[c] += e
+    return tuple(sorted((c, e) for c, e in merged.items() if c and e))
 
 
 @dataclass(frozen=True)
 class BundleExpr:
-    """Formal signed sum of bundle atoms (sign -1 = virtual subtraction).
+    """A virtual bundle: ``(c, e)`` root pairs, folded to normal form, and
+    the signed multiplicity of ``Omega^1``.  Both are dimension-free, and
+    the normal form makes ``==`` compare virtual classes."""
 
-    The atom multiset is dimension-free; the ambient dimension is supplied
-    only when the total Chern class is evaluated.
-    """
-
-    terms: tuple[tuple[int, Atom], ...]
+    roots: tuple[tuple[int, int], ...] = ()
+    cotangents: int = 0
 
     def __post_init__(self) -> None:
-        terms = tuple((sign, atom) for sign, atom in self.terms)
-        for sign, atom in terms:
-            if sign not in (1, -1):
-                raise ValueError(f"sign must be +1 or -1, got {sign}")
-            if not isinstance(atom, _ATOM_TYPES):
-                raise TypeError(f"not a bundle atom: {atom!r}")
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "roots", _fold(self.roots))
 
     @classmethod
     def sum_of_line_twists(cls, twists: Sequence[int]) -> "BundleExpr":
-        return cls(tuple((1, LineTwist(k)) for k in twists))
+        return cls(tuple((k, 1) for k in twists))
 
     def __add__(self, other: "BundleExpr") -> "BundleExpr":
-        return BundleExpr(self.terms + other.terms)
+        return BundleExpr(
+            self.roots + other.roots, self.cotangents + other.cotangents
+        )
 
     def __sub__(self, other: "BundleExpr") -> "BundleExpr":
-        flipped = tuple((-sign, atom) for sign, atom in other.terms)
-        return BundleExpr(self.terms + flipped)
+        negated = tuple((c, -e) for c, e in other.roots)
+        return self + BundleExpr(negated, -other.cotangents)
+
+
+def LineTwist(k: int) -> BundleExpr:
+    """The line bundle O(k) on the ambient projective space."""
+    return BundleExpr(((k, 1),))
+
+
+def ProjectiveCotangent() -> BundleExpr:
+    """The cotangent bundle of the ambient projective space."""
+    return BundleExpr(cotangents=1)
+
+
+def HyperplaneSheaf() -> BundleExpr:
+    """The structure sheaf of a hyperplane, as a sheaf on the ambient space."""
+    return BundleExpr(((-1, -1),))
 
 
 def total_chern(expr: BundleExpr, ell: int) -> TruncatedSeries:
     """Total Chern class of ``expr`` on P^ell, truncated at order ell.
 
-    Each atom is a Chern root with a signed exponent; the exponents of equal
-    roots are summed and each remaining root contributes one binomial series
-    ``(1 + c*h)^e``.  Whitney multiplicativity makes the grouping exact.
+    The cotangents become the root ``-1`` with exponent
+    ``cotangents * (ell + 1)``; each distinct root then contributes one
+    binomial series ``(1 + c*h)^e``, exact by Whitney multiplicativity.
     """
     if ell < 0:
         raise ValueError(f"ambient dimension must be nonnegative, got {ell}")
-    roots: Counter[int] = Counter()
-    for sign, atom in expr.terms:
-        if isinstance(atom, LineTwist):
-            roots[atom.twist] += sign
-        elif isinstance(atom, ProjectiveCotangent):
-            roots[-1] += sign * (ell + 1)
-        else:
-            roots[-1] -= sign
-    factors = [binomial_series(c, e, ell) for c, e in roots.items() if c and e]
+    roots = _fold(expr.roots + ((-1, expr.cotangents * (ell + 1)),))
+    factors = [binomial_series(c, e, ell) for c, e in roots]
     return reduce(mul, factors) if factors else TruncatedSeries.one(ell)
 
 
@@ -126,12 +115,11 @@ class ExcessProblem:
 
 def excess_bundle(n: int) -> BundleExpr:
     """The excess normal bundle: cotangent of the linear system extended by
-    one hyperplane structure sheaf per node."""
+    one hyperplane structure sheaf per node, folded to the single root
+    ``-1`` with exponent ``-n``."""
     if n < 0:
         raise ValueError(f"node count must be nonnegative, got {n}")
-    terms = ((1, ProjectiveCotangent()),)
-    terms += tuple((1, HyperplaneSheaf()) for _ in range(n))
-    return BundleExpr(terms)
+    return BundleExpr(((-1, -n),), cotangents=1)
 
 
 def _as_integer(value: Fraction, what: str) -> int:

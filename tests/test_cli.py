@@ -3,7 +3,10 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rigidcurves.certify import ENUMERATION_GUARD, CicyType, certify
 from rigidcurves.cli import main
 
 
@@ -253,3 +256,24 @@ class TestCliContract:
         first = run_cli(argv)
         second = run_cli(argv)
         assert first == second
+
+
+# negatives, small values where verdicts change, and values on and past the
+# work bound
+cli_ints = st.one_of(
+    st.integers(-5, 60),
+    st.integers(-(10**6), 10**6),
+    st.integers(ENUMERATION_GUARD - 2, ENUMERATION_GUARD + 2),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(list(CicyType)), cli_ints, cli_ints)
+def test_certify_round_trips_through_json(cicy, d, g):
+    argv = ["certify", "--type", cicy.type_string(), "--d", str(d), "--g", str(g)]
+    code, out, _ = run_cli(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+    else:
+        assert json.loads(out) == certify(cicy, d, g).to_dict()

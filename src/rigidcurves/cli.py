@@ -1,15 +1,19 @@
 """Command-line front end.
 
 Exit codes: 0 = success/certified, 1 = rejected, 2 = invalid input,
-3 = table verification mismatch.  Payload goes to stdout, diagnostics to
-stderr; identical invocations produce byte-identical output.
+3 = table verification mismatch, 141 = stdout closed by its reader (as if
+killed by SIGPIPE, with nothing on stderr).  Payload goes to stdout,
+diagnostics to stderr; identical invocations produce byte-identical output.
+JSON is exactly what ``json.dumps(document, indent=2)`` gives, and
+``enumerate`` streams it one certificate at a time.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .certify import (
@@ -27,6 +31,7 @@ EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_INVALID = 2
 EXIT_MISMATCH = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 _FORMATS = ("json", "csv", "markdown")
 
@@ -36,8 +41,44 @@ def _fail(message: str) -> int:
     return EXIT_INVALID
 
 
+def _encode(value: object, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for a document of
+    ``dict`` (``str`` keys), ``list``, ``str``, ``int``, ``bool`` and ``None``.
+
+    ``newline`` is the line break and indentation of the line ``value``
+    starts on.  Any other type raises ``TypeError``: floats, non-``str``
+    keys, and subclasses of ``str`` or ``int``.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    inner = newline + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        parts = []
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"cannot encode {type(key).__name__} key")
+            parts.append(
+                encode_basestring_ascii(key) + ": " + _encode(item, inner))
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        parts = [_encode(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+    raise TypeError(f"cannot encode {kind.__name__} as JSON")
+
+
 def _emit_json(document: dict) -> None:
-    print(json.dumps(document, indent=2))
+    print(_encode(document))
 
 
 def _emit_rows(header: list[str], rows: list[list[str]], fmt: str) -> None:
@@ -97,16 +138,18 @@ def run_enumerate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail(str(exc))
     if args.format == "json":
-        _emit_json(
-            {
-                "input": {
-                    "type": cicy.type_string(),
-                    "d_max": args.d_max,
-                    "g_max": args.g_max,
-                },
-                "certificates": [c.to_dict() for c in certificates],
-            }
-        )
+        # The document of _emit_json({"input": ..., "certificates": [...]}),
+        # written one certificate at a time.
+        write = sys.stdout.write
+        region = {"type": cicy.type_string(), "d_max": args.d_max,
+                  "g_max": args.g_max}
+        write('{\n  "input": ' + _encode(region, "\n  ")
+              + ',\n  "certificates": [')
+        separator = "\n    "
+        for certificate in certificates:
+            write(separator + _encode(certificate.to_dict(), "\n    "))
+            separator = ",\n    "
+        write("\n  ]\n}\n" if certificates else "]\n}\n")
     else:
         header = ["d", "g", "stated", "derived", "embedding", "n", "count",
                   "warnings"]
@@ -218,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def _run(argv: Sequence[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -228,6 +271,18 @@ def main(argv: Sequence[str] | None = None) -> int:
             return EXIT_OK
         return code if isinstance(code, int) else EXIT_INVALID
     return args.func(args)
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (say, ``| head``).  Point stdout at
+        # devnull so the interpreter's last flush cannot fail as well.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

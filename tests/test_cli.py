@@ -1,13 +1,24 @@
 import contextlib
+import enum
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidcurves.certify import ENUMERATION_GUARD, CicyType, certify
-from rigidcurves.cli import main
+import rigidcurves
+from rigidcurves.certify import (
+    ENUMERATION_GUARD,
+    CicyType,
+    certify,
+    enumerate_region,
+)
+from rigidcurves.cli import EXIT_BROKEN_PIPE, _encode, main
 
 
 def run_cli(argv):
@@ -144,6 +155,41 @@ class TestEnumerateCommand:
         assert huge[0] == small[0] == 0
         assert huge[1] == small[1]
 
+    def test_json_streamed_one_certificate_at_a_time(self):
+        class RecordingWriter(io.StringIO):
+            def __init__(self):
+                super().__init__()
+                self.sizes = []
+
+            def write(self, text):
+                self.sizes.append(len(text))
+                return super().write(text)
+
+        out = RecordingWriter()
+        with contextlib.redirect_stdout(out):
+            code = main(["enumerate", "--type", "4,2", "--d-max", "40",
+                         "--g-max", "8", "--format", "json"])
+        assert code == 0
+        assert len(out.getvalue().encode()) > 2**20
+        assert max(out.sizes) <= 16 * 1024
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(list(CicyType)), st.integers(0, 12),
+           st.integers(0, 5))
+    def test_json_round_trips_small_regions(self, cicy, d_max, g_max):
+        code, out, _ = run_cli(
+            ["enumerate", "--type", cicy.type_string(), "--d-max", str(d_max),
+             "--g-max", str(g_max)]
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "input": {"type": cicy.type_string(), "d_max": d_max,
+                      "g_max": g_max},
+            "certificates": [
+                c.to_dict() for c in enumerate_region(cicy, d_max, g_max)
+            ],
+        }
+
 
 class TestTableCommand:
     def test_plain_table(self):
@@ -243,6 +289,21 @@ class TestCliContract:
         code, _, _ = run_cli(["--help"])
         assert code == 0
 
+    def test_closed_pipe_exits_141_quietly(self):
+        # about 1.2 MB of JSON: far more than a pipe buffer holds
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(rigidcurves.__file__).resolve().parents[1])
+        with subprocess.Popen(
+            [sys.executable, "-m", "rigidcurves", "enumerate", "--type", "4,2",
+             "--d-max", "40", "--g-max", "8", "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            assert proc.stdout.read(15) == b'{\n  "input": {\n'
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE == 141
+        assert err == b""  # no traceback, nothing at all
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -277,3 +338,72 @@ def test_certify_round_trips_through_json(cicy, d, g):
         assert out == ""
     else:
         assert json.loads(out) == certify(cicy, d, g).to_dict()
+
+
+# strings with non-ASCII, control characters, quotes, backslashes and lone
+# surrogates; ints of a few hundred digits
+json_strings = st.text(
+    st.one_of(
+        st.characters(),
+        st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),
+        st.sampled_from('"\\\x00\x1f\x7f\u2028'),
+    ),
+    max_size=8,
+)
+json_leaves = st.one_of(
+    json_strings,
+    st.integers(-(10**300), 10**300),
+    st.booleans(),
+    st.none(),
+)
+json_documents = st.recursive(
+    json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(json_strings, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+class Label(str):
+    pass
+
+
+class Level(enum.IntEnum):
+    ONE = 1
+
+
+class TestJsonEncoder:
+    @settings(max_examples=200, deadline=None)
+    @given(json_documents)
+    def test_matches_indented_json_dumps(self, document):
+        assert _encode(document) == json.dumps(document, indent=2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.recursive(
+            st.floats(),
+            lambda inner: st.one_of(
+                st.tuples(json_documents, inner).map(list),
+                st.tuples(json_strings, inner, json_documents).map(
+                    lambda t: {t[0]: t[1], t[0] + "'": t[2]}
+                ),
+            ),
+            max_leaves=5,
+        )
+    )
+    def test_no_floats_anywhere(self, document):
+        with pytest.raises(TypeError):
+            _encode(document)
+
+    @pytest.mark.parametrize(
+        "document",
+        [{1: "a"}, {None: 1}, {True: 1}, {1.5: 1}, {"a": {2: []}},
+         [Label("a")], {"a": Level.ONE}, ("a",)],
+        ids=["int-key", "none-key", "bool-key", "float-key", "nested-key",
+             "str-subclass", "int-subclass", "tuple"],
+    )
+    def test_other_types_rejected(self, document):
+        with pytest.raises(TypeError):
+            _encode(document)

@@ -68,6 +68,22 @@ GOLDEN = [
         0,
         "6279d14e640d756f78cdc302365b3890942288d5f44614641ef72d3a62269b6d",
     ),
+    (
+        ["enumerate", "--type", "5", "--d-max", "0", "--g-max", "0"],
+        0,
+        "8efd58c45767f8605c08491cc1a930cad687c3bc7507495ee1f875decd5ae83d",
+    ),
+    (
+        ["table", "--format", "json"],
+        0,
+        "9d8774c01fd44bf1060c6aa5aa53e938a7652938a63d5b82e883aabe38aa0a17",
+    ),
+    (
+        ["enumerate", "--type", "4,2", "--d-max", "40", "--g-max", "8",
+         "--format", "json"],
+        0,
+        "bdcb4bd696d261b3a60c669e42c373bbca6eb3b15f7c985935769208e861f30d",
+    ),
 ]
 
 

@@ -116,20 +116,13 @@ def node_table() -> list[EmbeddingRow]:
     return list(_NODE_TABLE)
 
 
-@dataclass(frozen=True)
-class _StatedCase:
-    half_degree: int
-    genus_cap: int
-    forbidden: tuple[int, int]
-    exceptional: tuple[int, int] | None
-
-
+# family -> (half-degree m, genus cap, forbidden pair, exceptional pair)
 _STATED_CASES = {
-    CicyType.QUINTIC: _StatedCase(2, 35, (5, 3), None),
-    CicyType.QUARTIC_QUADRIC: _StatedCase(2, 31, (5, 3), None),
-    CicyType.BICUBIC: _StatedCase(3, 31, (7, 4), (3, 1)),
-    CicyType.CUBIC_TWO_QUADRICS: _StatedCase(3, 15, (7, 4), (3, 1)),
-    CicyType.FOUR_QUADRICS: _StatedCase(4, 9, (9, 5), (4, 1)),
+    CicyType.QUINTIC: (2, 35, (5, 3), None),
+    CicyType.QUARTIC_QUADRIC: (2, 31, (5, 3), None),
+    CicyType.BICUBIC: (3, 31, (7, 4), (3, 1)),
+    CicyType.CUBIC_TWO_QUADRICS: (3, 15, (7, 4), (3, 1)),
+    CicyType.FOUR_QUADRICS: (4, 9, (9, 5), (4, 1)),
 }
 
 
@@ -159,8 +152,7 @@ class StatedVerdict:
 
 def stated_conditions(cicy: CicyType, d: int, g: int) -> StatedVerdict:
     """Literal per-family case conditions, with every clause traced."""
-    case = _STATED_CASES[cicy]
-    m = case.half_degree
+    m, genus_cap, forbidden, exceptional = _STATED_CASES[cicy]
 
     # Each rule is (clause, the ``holds`` value on which it decides, the
     # reason it then gives); the first rule that decides sets the reason.
@@ -169,18 +161,18 @@ def stated_conditions(cicy: CicyType, d: int, g: int) -> StatedVerdict:
         (Clause("degree-range", d >= 2 * g - 3, f"d={d} >= 2g-3={2 * g - 3}"),
          False, "degree-out-of-range"),
     ]
-    if case.exceptional is not None:
-        rules.append((Clause("exceptional-pair", (d, g) == case.exceptional,
-                             f"(d,g)={case.exceptional}"),
+    if exceptional is not None:
+        rules.append((Clause("exceptional-pair", (d, g) == exceptional,
+                             f"(d,g)={exceptional}"),
                       True, "exceptional-pair"))
     rules += [
         (Clause("genus-degree-bound", 4 * m * g < d * d,
                 f"{4 * m}*g={4 * m * g} < d^2={d * d}"),
          False, "genus-degree-bound-failed"),
-        (Clause("genus-cap", g < case.genus_cap, f"g={g} < {case.genus_cap}"),
+        (Clause("genus-cap", g < genus_cap, f"g={g} < {genus_cap}"),
          False, "genus-cap-exceeded"),
-        (Clause("forbidden-pair-avoided", (d, g) != case.forbidden,
-                f"(d,g) != {case.forbidden}"),
+        (Clause("forbidden-pair-avoided", (d, g) != forbidden,
+                f"(d,g) != {forbidden}"),
          False, "forbidden-pair"),
         (Clause("degree-dominates", d > 2 * g - 2 or d > g + m,
                 f"d > 2g-2={2 * g - 2} or d > g+{m}={g + m}"),
@@ -302,7 +294,7 @@ def derived_conditions(cicy: CicyType, d: int, g: int) -> DerivedVerdict:
         ell=g,
         chosen=chosen,
         rows=tuple(assessments),
-        assumed=_CITED_CONSTRUCTION_FACTS if assessments else (),
+        assumed=_CITED_CONSTRUCTION_FACTS,
     )
 
 

@@ -22,7 +22,6 @@ from .certify import (
     CicyType,
     certify,
     enumerate_region,
-    node_table,
     verify_node_table,
 )
 from .chern import ExcessProblem, excess_count, rigid_count
@@ -77,10 +76,6 @@ def _encode(value: object, newline: str = "\n") -> str:
     raise TypeError(f"cannot encode {kind.__name__} as JSON")
 
 
-def _emit_json(document: dict) -> None:
-    print(_encode(document))
-
-
 def _emit_rows(header: list[str], rows: list[list[str]], fmt: str) -> None:
     if fmt == "csv":
         print(",".join(header))
@@ -110,7 +105,7 @@ def run_certify(args: argparse.Namespace) -> int:
             f"got d={args.d}, g={args.g}"
         )
     certificate = certify(cicy, args.d, args.g)
-    _emit_json(certificate.to_dict())
+    print(_encode(certificate.to_dict()))
     return EXIT_OK if certificate.derived.accept else EXIT_REJECTED
 
 
@@ -138,8 +133,8 @@ def run_enumerate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail(str(exc))
     if args.format == "json":
-        # The document of _emit_json({"input": ..., "certificates": [...]}),
-        # written one certificate at a time.
+        # print(_encode({"input": ..., "certificates": [...]})), written one
+        # certificate at a time.
         write = sys.stdout.write
         region = {"type": cicy.type_string(), "d_max": args.d_max,
                   "g_max": args.g_max}
@@ -159,44 +154,28 @@ def run_enumerate(args: argparse.Namespace) -> int:
 
 
 def run_table(args: argparse.Namespace) -> int:
-    if args.verify:
-        checks = verify_node_table()
-        all_agree = all(check.agree for check in checks)
-        if args.format == "json":
-            _emit_json(
-                {
-                    "rows": [check.to_dict() for check in checks],
-                    "all_agree": all_agree,
-                }
-            )
-        else:
-            header = ["cicy", "k3", "n", "computed_n", "agree"]
-            rows = [
-                [
-                    _dashed(check.row.cicy.degrees),
-                    _dashed(check.row.k3_degrees),
-                    str(check.row.nodes),
-                    str(check.computed),
-                    "yes" if check.agree else "no",
-                ]
-                for check in checks
-            ]
-            _emit_rows(header, rows, args.format)
-        return EXIT_OK if all_agree else EXIT_MISMATCH
-    rows = node_table()
+    checks = verify_node_table()
+    all_agree = all(check.agree for check in checks)
     if args.format == "json":
-        _emit_json({"rows": [row.to_dict() for row in rows]})
+        rows = [check.to_dict() if args.verify else check.row.to_dict()
+                for check in checks]
+        print(_encode({"rows": rows, "all_agree": all_agree} if args.verify
+                      else {"rows": rows}))
     else:
-        header = ["cicy", "k3", "n"]
-        _emit_rows(
-            header,
+        width = 5 if args.verify else 3
+        header = ["cicy", "k3", "n", "computed_n", "agree"][:width]
+        rows = [
             [
-                [_dashed(r.cicy.degrees), _dashed(r.k3_degrees), str(r.nodes)]
-                for r in rows
-            ],
-            args.format,
-        )
-    return EXIT_OK
+                _dashed(check.row.cicy.degrees),
+                _dashed(check.row.k3_degrees),
+                str(check.row.nodes),
+                str(check.computed),
+                "yes" if check.agree else "no",
+            ][:width]
+            for check in checks
+        ]
+        _emit_rows(header, rows, args.format)
+    return EXIT_MISMATCH if args.verify and not all_agree else EXIT_OK
 
 
 def run_count(args: argparse.Namespace) -> int:
@@ -208,15 +187,13 @@ def run_count(args: argparse.Namespace) -> int:
         return _fail(f"n must be at most {ENUMERATION_GUARD}, got n={args.n}")
     series_value = excess_count(problem)
     binomial_value = rigid_count(args.n, args.ell)
-    _emit_json(
-        {
-            "n": args.n,
-            "ell": args.ell,
-            "excess_count": str(series_value),
-            "binomial_count": str(binomial_value),
-            "agree": series_value == binomial_value,
-        }
-    )
+    print(_encode({
+        "n": args.n,
+        "ell": args.ell,
+        "excess_count": str(series_value),
+        "binomial_count": str(binomial_value),
+        "agree": series_value == binomial_value,
+    }))
     return EXIT_OK
 
 

@@ -41,9 +41,6 @@ class DivisorClass:
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         return DivisorClass(self.alpha - other.alpha, self.beta - other.beta)
 
-    def __neg__(self) -> "DivisorClass":
-        return DivisorClass(-self.alpha, -self.beta)
-
     def __rmul__(self, scalar: int) -> "DivisorClass":
         return DivisorClass(scalar * self.alpha, scalar * self.beta)
 
@@ -75,11 +72,9 @@ class PicardLattice:
 
 def pair(lattice: PicardLattice, d1: DivisorClass, d2: DivisorClass) -> int:
     """Symmetric bilinear intersection form via the Gram matrix."""
-    return (
-        2 * lattice.m * d1.alpha * d2.alpha
-        + lattice.d * (d1.alpha * d2.beta + d1.beta * d2.alpha)
-        + (2 * lattice.g - 2) * d1.beta * d2.beta
-    )
+    (hh, hc), (ch, cc) = lattice.gram
+    return (hh * d1.alpha * d2.alpha + hc * d1.alpha * d2.beta
+            + ch * d1.beta * d2.alpha + cc * d1.beta * d2.beta)
 
 
 def euler_char(lattice: PicardLattice, divisor: DivisorClass) -> int:

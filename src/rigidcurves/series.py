@@ -62,12 +62,8 @@ class TruncatedSeries:
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
-    def constant(cls, value: Rational, order: int) -> "TruncatedSeries":
-        return cls(order, (value,) + (0,) * order)
-
-    @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
-        return cls.constant(1, order)
+        return cls(order, (1,) + (0,) * order)
 
     @classmethod
     def from_polynomial(
@@ -85,26 +81,6 @@ class TruncatedSeries:
 
     def is_one(self) -> bool:
         return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return mul(self, other)
-
-    def __pow__(self, exponent: int) -> "TruncatedSeries":
-        return int_pow(self, exponent)
-
-    def __str__(self) -> str:
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if k > 0 and c == 0:
-                continue
-            mono = "1" if k == 0 else ("h" if k == 1 else f"h^{k}")
-            if k == 0:
-                parts.append(str(c))
-            elif abs(c) == 1:
-                parts.append(f"- {mono}" if c < 0 else f"+ {mono}")
-            else:
-                parts.append(f"- {-c}*{mono}" if c < 0 else f"+ {c}*{mono}")
-        return " ".join(parts)
 
 
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:

@@ -84,6 +84,27 @@ GOLDEN = [
         0,
         "bdcb4bd696d261b3a60c669e42c373bbca6eb3b15f7c985935769208e861f30d",
     ),
+    (
+        ["table", "--format", "csv"],
+        0,
+        "eb0995b3d245e60e5c9e0b7c073f66725fb23cc4c1337992b1417b616198f15e",
+    ),
+    (
+        ["table", "--format", "markdown"],
+        0,
+        "816007e8dad744135de3c82f411c2c1394da1660ed0f6dd69ad7aa07ba6b1b9a",
+    ),
+    (
+        ["table", "--verify", "--format", "markdown"],
+        3,
+        "5b4bb78b2741a4af153ac13495fa9f19b238853cdcf3b1a2f1fba0a7ca4d5803",
+    ),
+    (
+        ["enumerate", "--type", "3,3", "--d-max", "8", "--g-max", "3",
+         "--format", "markdown"],
+        0,
+        "569ae9d88c4b864e2ceb3709793e2c8444dc045e5a909d902109790ce5ea76a1",
+    ),
 ]
 
 

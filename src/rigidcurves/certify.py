@@ -16,6 +16,7 @@ an accepted certificate is C(n - 2, g) for the chosen embedding row.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -395,9 +396,10 @@ def verify_node_table() -> list[TableCheck]:
 
 def enumerate_region(
     cicy: CicyType, d_max: int, g_max: int
-) -> list[Certificate]:
-    """Certificates for all (d, g) with 0 <= g <= g_max and
-    max(1, 2g-3) <= d <= d_max, in (g asc, d asc) order."""
+) -> Iterator[Certificate]:
+    """Certificates for 0 <= g <= g_max, max(1, 2g-3) <= d <= d_max in
+    (g asc, d asc) order, one at a time from a one-pass iterator (wrap it in
+    ``list()`` to reuse it); the bounds are checked at the call."""
     if d_max < 0 or g_max < 0:
         raise ValueError(
             f"bounds must be nonnegative, got d_max={d_max}, g_max={g_max}"
@@ -406,9 +408,7 @@ def enumerate_region(
         raise ValueError(
             f"d_max={d_max} exceeds the enumeration guard {ENUMERATION_GUARD}"
         )
-    certificates = []
     # rows with 2g - 3 > d_max are empty
-    for g in range(min(g_max, (d_max + 3) // 2) + 1):
-        for d in range(max(1, 2 * g - 3), d_max + 1):
-            certificates.append(certify(cicy, d, g))
-    return certificates
+    return (certify(cicy, d, g)
+            for g in range(min(g_max, (d_max + 3) // 2) + 1)
+            for d in range(max(1, 2 * g - 3), d_max + 1))

@@ -4,8 +4,8 @@ Exit codes: 0 = success/certified, 1 = rejected, 2 = invalid input,
 3 = table verification mismatch, 141 = stdout closed by its reader (as if
 killed by SIGPIPE, with nothing on stderr).  Payload goes to stdout,
 diagnostics to stderr; identical invocations produce byte-identical output.
-JSON is exactly what ``json.dumps(document, indent=2)`` gives, and
-``enumerate`` streams it one certificate at a time.
+JSON is exactly ``json.dumps(document, indent=2)``.  ``enumerate`` streams
+every format one certificate at a time; memory does not grow with the region.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import argparse
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .certify import (
     ENUMERATION_GUARD,
@@ -76,7 +76,7 @@ def _encode(value: object, newline: str = "\n") -> str:
     raise TypeError(f"cannot encode {kind.__name__} as JSON")
 
 
-def _emit_rows(header: list[str], rows: list[list[str]], fmt: str) -> None:
+def _emit_rows(header: list[str], rows: Iterable[list[str]], fmt: str) -> None:
     if fmt == "csv":
         print(",".join(header))
         for row in rows:
@@ -144,12 +144,11 @@ def run_enumerate(args: argparse.Namespace) -> int:
         for certificate in certificates:
             write(separator + _encode(certificate.to_dict(), "\n    "))
             separator = ",\n    "
-        write("\n  ]\n}\n" if certificates else "]\n}\n")
+        write("]\n}\n" if separator == "\n    " else "\n  ]\n}\n")
     else:
         header = ["d", "g", "stated", "derived", "embedding", "n", "count",
                   "warnings"]
-        _emit_rows(header, [_certificate_row(c) for c in certificates],
-                   args.format)
+        _emit_rows(header, map(_certificate_row, certificates), args.format)
     return EXIT_OK
 
 

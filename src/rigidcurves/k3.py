@@ -191,13 +191,13 @@ class NonspecialityRoute(Enum):
 @dataclass(frozen=True)
 class RouteResult:
     route: NonspecialityRoute
-    riemann_roch_applies: bool
     lattice: NonspecialVerdict | None
 
     def to_dict(self) -> dict:
         return {
             "route": self.route.value,
-            "riemann_roch_applies": self.riemann_roch_applies,
+            "riemann_roch_applies":
+                self.route is NonspecialityRoute.RIEMANN_ROCH,
             "lattice": self.lattice.to_dict() if self.lattice else None,
         }
 
@@ -213,8 +213,8 @@ def nonspeciality_route(m: int, d: int, g: int) -> RouteResult:
             f"degree {d} below the supported floor 2g-3 = {2 * g - 3}"
         )
     if d >= 2 * g - 1:
-        return RouteResult(NonspecialityRoute.RIEMANN_ROCH, True, None)
+        return RouteResult(NonspecialityRoute.RIEMANN_ROCH, None)
     verdict = lattice_nonspecial(m, d, g)
     if verdict.status is NonspecialStatus.NONSPECIAL:
-        return RouteResult(NonspecialityRoute.LATTICE_BOUND, False, verdict)
-    return RouteResult(NonspecialityRoute.FAIL, False, verdict)
+        return RouteResult(NonspecialityRoute.LATTICE_BOUND, verdict)
+    return RouteResult(NonspecialityRoute.FAIL, verdict)

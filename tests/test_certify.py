@@ -299,29 +299,31 @@ class TestVerifyNodeTable:
 
 class TestEnumerate:
     def test_rational_sweep_on_quintic(self):
-        certificates = enumerate_region(CicyType.QUINTIC, 4, 0)
+        certificates = list(enumerate_region(CicyType.QUINTIC, 4, 0))
         assert len(certificates) == 4
         assert all(c.derived.accept and c.count == 1 for c in certificates)
 
     def test_bicubic_sweep_includes_exceptional_pair(self):
-        certificates = enumerate_region(CicyType.BICUBIC, 3, 1)
+        certificates = list(enumerate_region(CicyType.BICUBIC, 3, 1))
         accepted = {(c.d, c.g) for c in certificates if c.derived.accept}
         assert (3, 1) in accepted
 
     def test_empty_region(self):
-        assert enumerate_region(CicyType.QUINTIC, 0, 0) == []
+        assert list(enumerate_region(CicyType.QUINTIC, 0, 0)) == []
 
     def test_region_cardinality(self):
         d_max, g_max = 9, 4
-        certificates = enumerate_region(CicyType.QUARTIC_QUADRIC, d_max, g_max)
+        certificates = list(
+            enumerate_region(CicyType.QUARTIC_QUADRIC, d_max, g_max)
+        )
         expected = sum(
             max(0, d_max - max(1, 2 * g - 3) + 1) for g in range(g_max + 1)
         )
         assert len(certificates) == expected
 
     def test_deterministic_order_and_content(self):
-        first = enumerate_region(CicyType.CUBIC_TWO_QUADRICS, 6, 3)
-        second = enumerate_region(CicyType.CUBIC_TWO_QUADRICS, 6, 3)
+        first = list(enumerate_region(CicyType.CUBIC_TWO_QUADRICS, 6, 3))
+        second = list(enumerate_region(CicyType.CUBIC_TWO_QUADRICS, 6, 3))
         assert first == second
         coords = [(c.g, c.d) for c in first]
         assert coords == sorted(coords)
@@ -336,8 +338,8 @@ class TestEnumerate:
 
     def test_genus_beyond_degree_reach_adds_nothing(self):
         # g > (d_max + 3) // 2 has no d with 2g - 3 <= d <= d_max
-        assert enumerate_region(CicyType.QUINTIC, 10, 10**9) == enumerate_region(
-            CicyType.QUINTIC, 10, 6
+        assert list(enumerate_region(CicyType.QUINTIC, 10, 10**9)) == list(
+            enumerate_region(CicyType.QUINTIC, 10, 6)
         )
 
     @pytest.mark.parametrize(
@@ -353,7 +355,7 @@ class TestEnumerate:
     def test_disagreement_oracle(self, cicy, disagreements):
         # regression oracle for both modes: over d <= 200, g <= 40 every
         # disagreement is stated-accept / derived-reject, and is warned about
-        certificates = enumerate_region(cicy, 200, 40)
+        certificates = list(enumerate_region(cicy, 200, 40))
         split = [
             c for c in certificates if c.stated.accept != c.derived.accept
         ]

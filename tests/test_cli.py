@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -191,6 +192,46 @@ class TestEnumerateCommand:
         }
 
 
+class Discard:
+    """A stdout that keeps nothing written to it."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def traced_peak(run):
+    """Peak bytes allocated by ``run()`` and alive at once, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFlatMemory:
+    # 6718 certificates, about 14 MB when held at once; one at a time they
+    # fit in well under 1 MiB
+    def test_library_iterator(self):
+        def consume():
+            for _ in enumerate_region(CicyType.QUINTIC, 200, 40):
+                pass
+
+        assert traced_peak(consume) < 2**20
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_cli(self, fmt):
+        def run():
+            with contextlib.redirect_stdout(Discard()):
+                assert main(["enumerate", "--type", "5", "--d-max", "200",
+                             "--g-max", "40", "--format", fmt]) == 0
+
+        assert traced_peak(run) < 2**20
+
+
 class TestTableCommand:
     def test_plain_table(self):
         code, out, _ = run_cli(["table"])
@@ -289,16 +330,26 @@ class TestCliContract:
         code, _, _ = run_cli(["--help"])
         assert code == 0
 
-    def test_closed_pipe_exits_141_quietly(self):
-        # about 1.2 MB of JSON: far more than a pipe buffer holds
+    @pytest.mark.parametrize(
+        "fmt, d_max, g_max, head",
+        [
+            # about 1.2 MB of JSON, and 0.8 MB of CSV: far more than a pipe
+            # buffer holds
+            ("json", "40", "8", b'{\n  "input": {\n'),
+            ("csv", "400", "80",
+             b"d,g,stated,derived,embedding,n,count,warnings\n"),
+        ],
+        ids=["json", "csv"],
+    )
+    def test_closed_pipe_exits_141_quietly(self, fmt, d_max, g_max, head):
         env = dict(os.environ)
         env["PYTHONPATH"] = str(Path(rigidcurves.__file__).resolve().parents[1])
         with subprocess.Popen(
             [sys.executable, "-m", "rigidcurves", "enumerate", "--type", "4,2",
-             "--d-max", "40", "--g-max", "8", "--format", "json"],
+             "--d-max", d_max, "--g-max", g_max, "--format", fmt],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
         ) as proc:
-            assert proc.stdout.read(15) == b'{\n  "input": {\n'
+            assert proc.stdout.read(len(head)) == head
             proc.stdout.close()
             err = proc.stderr.read()
             assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE == 141

@@ -105,6 +105,20 @@ GOLDEN = [
         0,
         "569ae9d88c4b864e2ceb3709793e2c8444dc045e5a909d902109790ce5ea76a1",
     ),
+    (
+        # includes the g = 7, 8 stated-derived disagreement rows
+        ["enumerate", "--type", "2,2,2,2", "--d-max", "40", "--g-max", "8",
+         "--format", "csv"],
+        0,
+        "206aea58590deb0e17c463aa87ca2cd2ea0b5ef7644a8512edfe63fc7bf75a4a",
+    ),
+    (
+        # header only
+        ["enumerate", "--type", "5", "--d-max", "0", "--g-max", "0",
+         "--format", "csv"],
+        0,
+        "02fab886877d73812bda41450bb16893d19d621fdf5a747ec5fec2c454c0e24f",
+    ),
 ]
 
 

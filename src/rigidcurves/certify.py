@@ -22,7 +22,6 @@ from enum import Enum
 
 from .chern import degeneracy_count, rigid_count
 from .k3 import (
-    DegreeRangeError,
     KnutsenVerdict,
     NonspecialityRoute,
     RouteResult,
@@ -266,23 +265,24 @@ def derived_conditions(cicy: CicyType, d: int, g: int) -> DerivedVerdict:
     curve exists on its K3, n >= g + 2, and non-speciality holds.
 
     The chosen row maximizes n (ties broken by table order); the count is
-    C(n - 2, g) for the chosen row.
+    C(n - 2, g) for the chosen row.  Outside the chain's domain (g < 0,
+    d < 1, d < 2g - 3) the verdict is an "out-of-range: ..." rejection with
+    no rows and nothing assumed.
     """
-    if g < 0:
-        raise DegreeRangeError(f"genus must be nonnegative, got {g}")
-    if d < 1:
-        raise DegreeRangeError(f"degree must be positive, got {d}")
-    if d < 2 * g - 3:
-        raise DegreeRangeError(
-            f"degree {d} below the supported floor 2g-3 = {2 * g - 3}"
+    out_of_range = (
+        f"genus must be nonnegative, got {g}" if g < 0
+        else f"degree must be positive, got {d}" if d < 1
+        else f"degree {d} below the supported floor 2g-3 = {2 * g - 3}"
+        if d < 2 * g - 3 else None
+    )
+    if out_of_range is not None:
+        return DerivedVerdict(
+            False, f"out-of-range: {out_of_range}", max(g, 0), None, (), ()
         )
-    assessments = []
+    rows = tuple(_assess_row(row, d, g) for row in _NODE_TABLE
+                 if row.cicy is cicy)
     chosen: RowAssessment | None = None
-    for row in _NODE_TABLE:
-        if row.cicy is not cicy:
-            continue
-        assessment = _assess_row(row, d, g)
-        assessments.append(assessment)
+    for assessment in rows:
         if assessment.viable and (
             chosen is None or assessment.row.nodes > chosen.row.nodes
         ):
@@ -290,12 +290,7 @@ def derived_conditions(cicy: CicyType, d: int, g: int) -> DerivedVerdict:
     accept = chosen is not None
     reason = "accepted" if accept else "no-viable-embedding"
     return DerivedVerdict(
-        accept=accept,
-        reason=reason,
-        ell=g,
-        chosen=chosen,
-        rows=tuple(assessments),
-        assumed=_CITED_CONSTRUCTION_FACTS,
+        accept, reason, g, chosen, rows, _CITED_CONSTRUCTION_FACTS
     )
 
 
@@ -330,23 +325,10 @@ class Certificate:
 
 
 def certify(cicy: CicyType, d: int, g: int) -> Certificate:
-    """Run both decision modes and cross-flag their disagreements.
-
-    Gate violations in derived mode (d < 2g - 3, nonpositive degree) become
-    rejections with a reason, never exceptions.
-    """
+    """Run both decision modes and cross-flag their disagreements; inputs
+    outside the derived chain's domain are rejections with a reason."""
     stated = stated_conditions(cicy, d, g)
-    try:
-        derived = derived_conditions(cicy, d, g)
-    except DegreeRangeError as exc:
-        derived = DerivedVerdict(
-            accept=False,
-            reason=f"out-of-range: {exc}",
-            ell=max(g, 0),
-            chosen=None,
-            rows=(),
-            assumed=(),
-        )
+    derived = derived_conditions(cicy, d, g)
     warnings = []
     if stated.accept != derived.accept:
         warnings.append(WARN_DISAGREEMENT)

@@ -1,6 +1,8 @@
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidcurves.certify import (
     CicyType,
@@ -175,12 +177,30 @@ class TestDerivedConditions:
         assert other.failure == "nonspeciality"
 
     def test_gate_errors(self):
-        with pytest.raises(DegreeRangeError):
-            derived_conditions(CicyType.QUINTIC, 1, 5)
-        with pytest.raises(DegreeRangeError):
-            derived_conditions(CicyType.QUINTIC, 0, 0)
-        with pytest.raises(DegreeRangeError):
-            derived_conditions(CicyType.QUINTIC, 3, -1)
+        cases = [
+            ((1, 5), "degree 1 below the supported floor 2g-3 = 7", 5),
+            ((0, 0), "degree must be positive, got 0", 0),
+            ((3, -1), "genus must be nonnegative, got -1", 0),
+        ]
+        for (d, g), message, ell in cases:
+            verdict = derived_conditions(CicyType.QUINTIC, d, g)
+            assert verdict.accept is False
+            assert verdict.reason == f"out-of-range: {message}"
+            assert verdict.ell == ell
+            assert verdict.chosen is None
+            assert verdict.rows == verdict.assumed == ()
+
+    # small values where verdicts change, and values far outside the domain
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(list(CicyType)),
+        st.one_of(st.integers(-5, 60), st.integers(-(10**6), 10**6)),
+        st.one_of(st.integers(-5, 40), st.integers(-(10**6), 10**6)),
+    )
+    def test_total_over_integers(self, cicy, d, g):
+        verdict = derived_conditions(cicy, d, g)
+        assert certify(cicy, d, g).derived == verdict
+        assert verdict.accept == (verdict.reason == "accepted")
 
     def test_construction_facts_recorded(self):
         verdict = derived_conditions(CicyType.QUINTIC, 6, 2)
@@ -224,6 +244,16 @@ class TestCertify:
         assert not certificate.derived.accept
         assert certificate.derived.reason.startswith("out-of-range")
         assert not certificate.stated.accept
+
+    def test_chain_error_is_not_out_of_range(self, monkeypatch):
+        def boom(*args):
+            raise DegreeRangeError("boom")
+
+        monkeypatch.setattr(
+            sys.modules["rigidcurves.certify"], "nonspeciality_route", boom
+        )
+        with pytest.raises(DegreeRangeError, match="boom"):
+            certify(CicyType.QUINTIC, 6, 2)
 
     def test_count_present_iff_accept(self):
         for cicy in CicyType:

@@ -119,6 +119,18 @@ GOLDEN = [
         0,
         "02fab886877d73812bda41450bb16893d19d621fdf5a747ec5fec2c454c0e24f",
     ),
+    (
+        # out-of-range: degree 1 below the supported floor 2g-3 = 7
+        ["certify", "--type", "5", "--d", "1", "--g", "5"],
+        1,
+        "8e454b0d65ff2937f392b047bc42e9647dc97962a8b168fa4053c732552ee825",
+    ),
+    (
+        # out-of-range: degree must be positive, got 0
+        ["certify", "--type", "2,2,2,2", "--d", "0", "--g", "0"],
+        1,
+        "ef10f9a5e79d23fd32625e12baaf42cfd98dff7c7515a29929f18f6e89417ddc",
+    ),
 ]
 
 

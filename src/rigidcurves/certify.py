@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .chern import degeneracy_count, rigid_count
@@ -74,6 +74,7 @@ class EmbeddingRow:
     cicy: CicyType
     k3_degrees: tuple[int, ...]
     nodes: int
+    m: int = field(init=False, repr=False, compare=False)  # half the degree
 
     def __post_init__(self) -> None:
         product = math.prod(self.k3_degrees)
@@ -82,10 +83,7 @@ class EmbeddingRow:
                 f"K3 type {self.k3_degrees} has degree {product}, "
                 "expected 4, 6 or 8"
             )
-
-    @property
-    def m(self) -> int:
-        return math.prod(self.k3_degrees) // 2
+        object.__setattr__(self, "m", product // 2)
 
     def to_dict(self) -> dict:
         return {

@@ -140,9 +140,22 @@ def run_enumerate(args: argparse.Namespace) -> int:
                   "g_max": args.g_max}
         write('{\n  "input": ' + _encode(region, "\n  ")
               + ',\n  "certificates": [')
-        separator = "\n    "
+        separator, inner = "\n    ", "\n      "
+        # Consecutive certificates mostly share their sub-documents, so each
+        # key keeps the previous certificate's value and its encoded member
+        # and encodes again only a value that differs (!=) from it.  Equal
+        # values encode alike: no path mixes bool and int (True == 1).
+        last: dict[str, tuple[object, str]] = {}
         for certificate in certificates:
-            write(separator + _encode(certificate.to_dict(), "\n    "))
+            members = []
+            for key, value in certificate.to_dict().items():
+                held = last.get(key)
+                if held is None or held[0] != value:
+                    held = last[key] = (value, encode_basestring_ascii(key)
+                                        + ": " + _encode(value, inner))
+                members.append(held[1])
+            write(separator + "{" + inner + ("," + inner).join(members)
+                  + "\n    }")
             separator = ",\n    "
         write("]\n}\n" if separator == "\n    " else "\n  ]\n}\n")
     else:

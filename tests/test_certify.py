@@ -1,7 +1,7 @@
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rigidcurves.certify import (
@@ -32,6 +32,16 @@ EXPECTED_TABLE = [
     ((3, 2, 2), (2, 2, 2, 1), 16),
     ((2, 2, 2, 2), (2, 2, 2, 1, 1), 8),
 ]
+
+
+def floor_edges(test):
+    """Add ``@example``s at d = 2g - 3 and d = 2g - 4 (g = 5, 8) for every
+    family to a ``(cicy, d, g)`` property."""
+    for cicy in CicyType:
+        for g in (5, 8):
+            for d in (2 * g - 3, 2 * g - 4):
+                test = example(cicy, d, g)(test)
+    return test
 
 
 class TestCicyType:
@@ -190,7 +200,9 @@ class TestDerivedConditions:
             assert verdict.chosen is None
             assert verdict.rows == verdict.assumed == ()
 
-    # small values where verdicts change, and values far outside the domain
+    # small values where verdicts change, values far outside the domain,
+    # and every family on both sides of the floor: d = 2g - 3 and 2g - 4
+    @floor_edges
     @settings(max_examples=100, deadline=None)
     @given(
         st.sampled_from(list(CicyType)),
@@ -240,10 +252,12 @@ class TestCertify:
         assert WARN_TABLE_DISCREPANCY in certificate.warnings
 
     def test_gate_error_becomes_rejection(self):
-        certificate = certify(CicyType.QUINTIC, 1, 5)
-        assert not certificate.derived.accept
-        assert certificate.derived.reason.startswith("out-of-range")
-        assert not certificate.stated.accept
+        for d in (1, 6):  # below the floor 2g - 3 = 7; 6 is just below
+            certificate = certify(CicyType.QUINTIC, d, 5)
+            assert not certificate.derived.accept
+            assert certificate.derived.reason.startswith("out-of-range")
+            assert not certificate.stated.accept
+            assert certificate.stated.reason == "degree-out-of-range"
 
     def test_chain_error_is_not_out_of_range(self, monkeypatch):
         def boom(*args):
@@ -365,6 +379,12 @@ class TestEnumerate:
             enumerate_region(CicyType.QUINTIC, 0, -2)
         with pytest.raises(ValueError):
             enumerate_region(CicyType.QUINTIC, 10_001, 0)
+        assert next(enumerate_region(CicyType.QUINTIC, 10_000, 0)).d == 1
+
+    def test_last_genus_within_degree_reach_kept(self):
+        # g = 21 is the largest genus with 2g - 3 <= 40
+        last = list(enumerate_region(CicyType.QUINTIC, 40, 21))[-2:]
+        assert [(c.d, c.g) for c in last] == [(39, 21), (40, 21)]
 
     def test_genus_beyond_degree_reach_adds_nothing(self):
         # g > (d_max + 3) // 2 has no d with 2g - 3 <= d <= d_max

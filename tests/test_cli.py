@@ -9,7 +9,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rigidcurves
@@ -190,6 +190,50 @@ class TestEnumerateCommand:
                 c.to_dict() for c in enumerate_region(cicy, d_max, g_max)
             ],
         }
+
+    # The JSON writer encodes a sub-document only when it differs from the
+    # previous certificate's, so compare bytes: json.loads reads true == 1.
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(list(CicyType)), st.integers(0, 40),
+           st.integers(0, 10))
+    @example(CicyType.FOUR_QUADRICS, 40, 7)  # the g = 7, 8 rays
+    @example(CicyType.FOUR_QUADRICS, 40, 8)
+    @example(CicyType.CUBIC_TWO_QUADRICS, 9, 5)  # the exceptions
+    @example(CicyType.CUBIC_TWO_QUADRICS, 10, 6)
+    @example(CicyType.CUBIC_TWO_QUADRICS, 11, 7)
+    def test_json_matches_json_dumps_byte_for_byte(self, cicy, d_max, g_max):
+        code, out, _ = run_cli(
+            ["enumerate", "--type", cicy.type_string(), "--d-max", str(d_max),
+             "--g-max", str(g_max), "--format", "json"]
+        )
+        assert code == 0
+        assert out == json.dumps({
+            "input": {"type": cicy.type_string(), "d_max": d_max,
+                      "g_max": g_max},
+            "certificates": [
+                c.to_dict() for c in enumerate_region(cicy, d_max, g_max)
+            ],
+        }, indent=2) + "\n"
+
+    def test_no_path_mixes_bool_and_int(self):
+        # Equal sub-documents must encode to equal text, and True == 1.
+        types = {}
+
+        def walk(value, path):
+            if isinstance(value, dict):
+                for key, item in value.items():
+                    walk(item, f"{path}/{key}")
+            elif isinstance(value, list):
+                for item in value:
+                    walk(item, f"{path}/*")
+            else:
+                types.setdefault(path, set()).add(type(value))
+
+        for cicy in CicyType:
+            for certificate in enumerate_region(cicy, 60, 25):
+                walk(certificate.to_dict(), "")
+        assert {bool, int} <= set().union(*types.values())
+        assert [p for p, seen in types.items() if {bool, int} <= seen] == []
 
 
 class Discard:

@@ -131,6 +131,20 @@ GOLDEN = [
         1,
         "ef10f9a5e79d23fd32625e12baaf42cfd98dff7c7515a29929f18f6e89417ddc",
     ),
+    (
+        # the derived verdict changes inside a genus (the g = 7, 8 rays)
+        ["enumerate", "--type", "2,2,2,2", "--d-max", "60", "--g-max", "12",
+         "--format", "json"],
+        0,
+        "2c3c3c0c90b6b0b9779588cb0f0686502d09fca31eb842b67b7d8d88da5842f6",
+    ),
+    (
+        # the derived verdict changes inside a genus ((9,5), (10,6), (11,7))
+        ["enumerate", "--type", "3,2,2", "--d-max", "30", "--g-max", "12",
+         "--format", "json"],
+        0,
+        "6dc77fdac39c69e5b0c3a9980fa276dca25ca0a8515593c80636f04ac1d5c26c",
+    ),
 ]
 
 

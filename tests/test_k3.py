@@ -180,8 +180,9 @@ class TestNonspecialityRoute:
         assert result.route is NonspecialityRoute.FAIL
 
     def test_out_of_range(self):
-        with pytest.raises(DegreeRangeError):
-            nonspeciality_route(2, 5, 5)
+        for d in (5, 6):  # below the floor 2g - 3 = 7
+            with pytest.raises(DegreeRangeError):
+                nonspeciality_route(2, d, 5)
 
     def test_never_fails_above_riemann_roch_floor(self):
         rng = random.Random(14)

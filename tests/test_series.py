@@ -59,6 +59,11 @@ class TestConstruction:
         assert TruncatedSeries.from_polynomial((1, 5), 0) == series(1)
 
 
+class TestIsOne:
+    def test_linear_term_counts(self):
+        assert not TruncatedSeries(1, (1, 1)).is_one()
+
+
 class TestMul:
     def test_difference_of_squares(self):
         assert mul(series(1, 2, 0), series(1, -2, 0)) == series(1, 0, -4)

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .chern import degeneracy_count, rigid_count
 from .k3 import (
@@ -67,23 +67,32 @@ class CicyType(Enum):
             ) from None
 
 
-@dataclass(frozen=True)
-class EmbeddingRow:
-    """One admissible (threefold family, K3 type) pair with its node count."""
-
+class _RowFields(NamedTuple):
     cicy: CicyType
     k3_degrees: tuple[int, ...]
     nodes: int
-    m: int = field(init=False, repr=False, compare=False)  # half the degree
+    m: int  # half the degree, derived from k3_degrees
 
-    def __post_init__(self) -> None:
-        product = math.prod(self.k3_degrees)
+
+class EmbeddingRow(_RowFields):
+    """One admissible (threefold family, K3 type) pair with its node count."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, cicy: CicyType, k3_degrees: tuple[int, ...], nodes: int
+    ) -> "EmbeddingRow":
+        product = math.prod(k3_degrees)
         if product % 2 != 0 or product // 2 not in (2, 3, 4):
             raise ValueError(
-                f"K3 type {self.k3_degrees} has degree {product}, "
+                f"K3 type {k3_degrees} has degree {product}, "
                 "expected 4, 6 or 8"
             )
-        object.__setattr__(self, "m", product // 2)
+        return super().__new__(cls, cicy, k3_degrees, nodes, product // 2)
+
+    def __getnewargs__(self) -> tuple:
+        # pickle and copy call __new__ with these: the arguments, not m
+        return self[:3]
 
     def to_dict(self) -> dict:
         return {
@@ -124,8 +133,7 @@ _STATED_CASES = {
 }
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(NamedTuple):
     name: str
     holds: bool
     detail: str = ""
@@ -134,8 +142,7 @@ class Clause:
         return {"name": self.name, "holds": self.holds, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class StatedVerdict:
+class StatedVerdict(NamedTuple):
     accept: bool
     reason: str
     clauses: tuple[Clause, ...]
@@ -184,8 +191,7 @@ def stated_conditions(cicy: CicyType, d: int, g: int) -> StatedVerdict:
     return StatedVerdict(accept, reason, tuple(c for c, _, _ in rules))
 
 
-@dataclass(frozen=True)
-class RowAssessment:
+class RowAssessment(NamedTuple):
     """Evaluation of one embedding row against the derived hypothesis chain."""
 
     row: EmbeddingRow
@@ -218,8 +224,7 @@ _CITED_CONSTRUCTION_FACTS = (
 )
 
 
-@dataclass(frozen=True)
-class DerivedVerdict:
+class DerivedVerdict(NamedTuple):
     accept: bool
     reason: str
     ell: int
@@ -292,8 +297,7 @@ def derived_conditions(cicy: CicyType, d: int, g: int) -> DerivedVerdict:
     )
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Verdicts of both modes for one (family, d, g) input, plus warnings."""
 
     cicy: CicyType
@@ -337,8 +341,7 @@ def certify(cicy: CicyType, d: int, g: int) -> Certificate:
     return Certificate(cicy, d, g, stated, derived, tuple(warnings))
 
 
-@dataclass(frozen=True)
-class TableCheck:
+class TableCheck(NamedTuple):
     """Tabulated node count next to its independent Thom-Porteous value."""
 
     row: EmbeddingRow

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .series import TruncatedSeries, binomial_series, mul
 
@@ -41,17 +40,22 @@ def _fold(roots: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((c, e) for c, e in merged.items() if c and e))
 
 
-@dataclass(frozen=True)
-class BundleExpr:
+class _BundleFields(NamedTuple):
+    roots: tuple[tuple[int, int], ...]
+    cotangents: int
+
+
+class BundleExpr(_BundleFields):
     """A virtual bundle: ``(c, e)`` root pairs, folded to normal form, and
     the signed multiplicity of ``Omega^1``.  Both are dimension-free, and
     the normal form makes ``==`` compare virtual classes."""
 
-    roots: tuple[tuple[int, int], ...] = ()
-    cotangents: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "roots", _fold(self.roots))
+    def __new__(
+        cls, roots: Iterable[tuple[int, int]] = (), cotangents: int = 0
+    ) -> "BundleExpr":
+        return super().__new__(cls, _fold(roots), cotangents)
 
     @classmethod
     def sum_of_line_twists(cls, twists: Sequence[int]) -> "BundleExpr":
@@ -96,21 +100,23 @@ def total_chern(expr: BundleExpr, ell: int) -> TruncatedSeries:
     return reduce(mul, factors) if factors else TruncatedSeries.one(ell)
 
 
-@dataclass(frozen=True)
-class ExcessProblem:
-    """Input to the excess-bundle integral: n nodes on the surface, an
-    ell-dimensional linear system of curves through them."""
-
+class _ExcessFields(NamedTuple):
     n: int
     ell: int
 
-    def __post_init__(self) -> None:
-        if self.ell < 0:
-            raise ValueError(f"ell must be nonnegative, got {self.ell}")
-        if self.n < self.ell + 2:
-            raise HypothesisError(
-                f"need n >= ell + 2, got n={self.n}, ell={self.ell}"
-            )
+
+class ExcessProblem(_ExcessFields):
+    """Input to the excess-bundle integral: n nodes on the surface, an
+    ell-dimensional linear system of curves through them."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, ell: int) -> "ExcessProblem":
+        if ell < 0:
+            raise ValueError(f"ell must be nonnegative, got {ell}")
+        if n < ell + 2:
+            raise HypothesisError(f"need n >= ell + 2, got n={n}, ell={ell}")
+        return super().__new__(cls, n, ell)
 
 
 def excess_bundle(n: int) -> BundleExpr:

@@ -12,8 +12,8 @@ All inequalities are evaluated over the integers (g < d^2/4m becomes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class UnsupportedPolarizationError(ValueError):
@@ -28,8 +28,7 @@ class DegreeRangeError(ValueError):
     """Degree/genus pair outside the supported region d >= 2g - 3."""
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(NamedTuple):
     """alpha*H + beta*C in the rank-2 lattice."""
 
     alpha: int
@@ -49,21 +48,25 @@ HYPERPLANE = DivisorClass(1, 0)
 CURVE = DivisorClass(0, 1)
 
 
-@dataclass(frozen=True)
-class PicardLattice:
-    """Gram matrix [[2m, d], [d, 2g-2]] on Z*H + Z*C."""
-
+class _LatticeFields(NamedTuple):
     m: int
     d: int
     g: int
 
-    def __post_init__(self) -> None:
-        if self.m < 2:
-            raise ValueError(f"polarization needs H.H = 2m >= 4, got m={self.m}")
-        if self.d < 1:
-            raise ValueError(f"degree d = H.C must be positive, got {self.d}")
-        if self.g < 0:
-            raise ValueError(f"genus must be nonnegative, got {self.g}")
+
+class PicardLattice(_LatticeFields):
+    """Gram matrix [[2m, d], [d, 2g-2]] on Z*H + Z*C."""
+
+    __slots__ = ()
+
+    def __new__(cls, m: int, d: int, g: int) -> "PicardLattice":
+        if m < 2:
+            raise ValueError(f"polarization needs H.H = 2m >= 4, got m={m}")
+        if d < 1:
+            raise ValueError(f"degree d = H.C must be positive, got {d}")
+        if g < 0:
+            raise ValueError(f"genus must be nonnegative, got {g}")
+        return super().__new__(cls, m, d, g)
 
     @property
     def gram(self) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -91,8 +94,7 @@ def euler_char(lattice: PicardLattice, divisor: DivisorClass) -> int:
 _EXCEPTIONAL_PAIRS = {3: (3, 1), 4: (4, 1)}
 
 
-@dataclass(frozen=True)
-class KnutsenVerdict:
+class KnutsenVerdict(NamedTuple):
     """Outcome of the existence test, with the clause that decided it."""
 
     exists: bool
@@ -144,8 +146,7 @@ class NonspecialStatus(Enum):
 _CITED_LATTICE_HYPOTHESES = ("very-ample-polarization", "picard-rank-two")
 
 
-@dataclass(frozen=True)
-class NonspecialVerdict:
+class NonspecialVerdict(NamedTuple):
     status: NonspecialStatus
     reason: str
     assumed: tuple[str, ...] = _CITED_LATTICE_HYPOTHESES
@@ -188,8 +189,7 @@ class NonspecialityRoute(Enum):
     FAIL = "fail"
 
 
-@dataclass(frozen=True)
-class RouteResult:
+class RouteResult(NamedTuple):
     route: NonspecialityRoute
     lattice: NonspecialVerdict | None
 

@@ -14,9 +14,8 @@ order means a wrong ambient dimension, which must not pass unnoticed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -39,27 +38,34 @@ def _exact(value: Rational) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+# A NamedTuple body cannot define __new__, so a record that checks its input
+# is a subclass of its fields whose __new__ checks them.
+class _SeriesFields(NamedTuple):
+    order: int
+    coeffs: tuple[Fraction, ...]
+
+
+class TruncatedSeries(_SeriesFields):
     """c0 + c1*h + ... + cN*h^N with exact rational coefficients.
 
     ``coeffs[k]`` is the coefficient of h^k; the tuple always has exactly
     ``order + 1`` entries.
     """
 
-    order: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.order < 0:
-            raise ValueError(f"order must be nonnegative, got {self.order}")
-        coeffs = tuple(_exact(c) for c in self.coeffs)
-        if len(coeffs) != self.order + 1:
+    def __new__(
+        cls, order: int, coeffs: Sequence[Rational]
+    ) -> "TruncatedSeries":
+        if order < 0:
+            raise ValueError(f"order must be nonnegative, got {order}")
+        coeffs = tuple(_exact(c) for c in coeffs)
+        if len(coeffs) != order + 1:
             raise ValueError(
-                f"order {self.order} needs {self.order + 1} coefficients, "
+                f"order {order} needs {order + 1} coefficients, "
                 f"got {len(coeffs)}"
             )
-        object.__setattr__(self, "coeffs", coeffs)
+        return super().__new__(cls, order, coeffs)
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
@@ -89,18 +95,19 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
         raise OrderMismatchError(
             f"cannot multiply series of orders {a.order} and {b.order}"
         )
-    n = a.order
+    n, b_coeffs = a.order, b.coeffs
     out = [Fraction(0)] * (n + 1)
     for i, ai in enumerate(a.coeffs):
         if ai:
             for j in range(n + 1 - i):
-                out[i + j] += ai * b.coeffs[j]
+                out[i + j] += ai * b_coeffs[j]
     return TruncatedSeries(n, tuple(out))
 
 
 def invert(a: TruncatedSeries) -> TruncatedSeries:
     """Multiplicative inverse of a unit series: mul(a, invert(a)) == 1."""
-    c0 = a.coeffs[0]
+    coeffs = a.coeffs
+    c0 = coeffs[0]
     if c0 == 0:
         raise NonUnitError("series with zero constant term has no inverse")
     n = a.order
@@ -109,7 +116,7 @@ def invert(a: TruncatedSeries) -> TruncatedSeries:
     for k in range(1, n + 1):
         acc = Fraction(0)
         for j in range(1, k + 1):
-            acc += a.coeffs[j] * out[k - j]
+            acc += coeffs[j] * out[k - j]
         out[k] = -inv0 * acc
     return TruncatedSeries(n, tuple(out))
 

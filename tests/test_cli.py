@@ -399,6 +399,17 @@ class TestCliContract:
             assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE == 141
         assert err == b""  # no traceback, nothing at all
 
+    def test_import_generates_no_code(self):
+        # pytest itself loads inspect, so only a fresh interpreter can tell;
+        # -S keeps the site hook's imports out of the answer
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(rigidcurves.__file__).resolve().parents[1])
+        probe = ("import sys, rigidcurves.cli; print(sorted(sys.modules.keys()"
+                 " & {'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}))")
+        result = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
+
     @pytest.mark.parametrize(
         "argv",
         [

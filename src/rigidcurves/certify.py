@@ -78,6 +78,7 @@ class EmbeddingRow(_RowFields):
     """One admissible (threefold family, K3 type) pair with its node count."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*tuple(fields)[:3]))  # not m
 
     def __new__(
         cls, cicy: CicyType, k3_degrees: tuple[int, ...], nodes: int

@@ -51,6 +51,7 @@ class BundleExpr(_BundleFields):
     the normal form makes ``==`` compare virtual classes."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(
         cls, roots: Iterable[tuple[int, int]] = (), cotangents: int = 0
@@ -110,6 +111,7 @@ class ExcessProblem(_ExcessFields):
     ell-dimensional linear system of curves through them."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, n: int, ell: int) -> "ExcessProblem":
         if ell < 0:

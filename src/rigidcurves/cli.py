@@ -11,6 +11,7 @@ every format one certificate at a time; memory does not grow with the region.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from json.encoder import encode_basestring_ascii
@@ -38,6 +39,21 @@ _FORMATS = ("json", "csv", "markdown")
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_INVALID
+
+
+def _family(text: str) -> CicyType:
+    try:
+        return CicyType.from_string(text)
+    except ValueError as exc:  # argparse would replace the message
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _bounded_int(text: str) -> int:
+    value = int(text)
+    if not 0 <= value <= ENUMERATION_GUARD:
+        raise argparse.ArgumentTypeError(
+            f"must be nonnegative and at most {ENUMERATION_GUARD}, got {text}")
+    return value
 
 
 def _encode(value: object, newline: str = "\n") -> str:
@@ -93,18 +109,7 @@ def _dashed(degrees: Sequence[int]) -> str:
 
 
 def run_certify(args: argparse.Namespace) -> int:
-    try:
-        cicy = CicyType.from_string(args.type)
-    except ValueError as exc:
-        return _fail(str(exc))
-    if args.d < 0 or args.g < 0:
-        return _fail(f"d and g must be nonnegative, got d={args.d}, g={args.g}")
-    if max(args.d, args.g) > ENUMERATION_GUARD:
-        return _fail(
-            f"d and g must be at most {ENUMERATION_GUARD}, "
-            f"got d={args.d}, g={args.g}"
-        )
-    certificate = certify(cicy, args.d, args.g)
+    certificate = certify(args.type, args.d, args.g)
     print(_encode(certificate.to_dict()))
     return EXIT_OK if certificate.derived.accept else EXIT_REJECTED
 
@@ -125,18 +130,14 @@ def _certificate_row(certificate: Certificate) -> list[str]:
 
 def run_enumerate(args: argparse.Namespace) -> int:
     try:
-        cicy = CicyType.from_string(args.type)
-    except ValueError as exc:
-        return _fail(str(exc))
-    try:
-        certificates = enumerate_region(cicy, args.d_max, args.g_max)
+        certificates = enumerate_region(args.type, args.d_max, args.g_max)
     except ValueError as exc:
         return _fail(str(exc))
     if args.format == "json":
         # print(_encode({"input": ..., "certificates": [...]})), written one
         # certificate at a time.
         write = sys.stdout.write
-        region = {"type": cicy.type_string(), "d_max": args.d_max,
+        region = {"type": args.type.type_string(), "d_max": args.d_max,
                   "g_max": args.g_max}
         write('{\n  "input": ' + _encode(region, "\n  ")
               + ',\n  "certificates": [')
@@ -195,8 +196,6 @@ def run_count(args: argparse.Namespace) -> int:
         problem = ExcessProblem(args.n, args.ell)
     except ValueError as exc:  # HypothesisError included
         return _fail(str(exc))
-    if args.n > ENUMERATION_GUARD:
-        return _fail(f"n must be at most {ENUMERATION_GUARD}, got n={args.n}")
     series_value = excess_count(problem)
     binomial_value = rigid_count(args.n, args.ell)
     print(_encode({
@@ -209,6 +208,7 @@ def run_count(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once, at the first main() call rather than at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rigidcurves",
@@ -220,15 +220,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("certify", help="certify one (family, degree, genus)")
-    p.add_argument("--type", required=True,
+    p.add_argument("--type", type=_family, required=True,
                    help="family multidegree: 5 | 4,2 | 3,3 | 3,2,2 | 2,2,2,2")
-    p.add_argument("--d", type=int, required=True, help="curve degree")
-    p.add_argument("--g", type=int, required=True, help="curve genus")
+    p.add_argument("--d", type=_bounded_int, required=True, help="curve degree")
+    p.add_argument("--g", type=_bounded_int, required=True, help="curve genus")
     p.add_argument("--format", choices=("json",), default="json")
     p.set_defaults(func=run_certify)
 
     p = sub.add_parser("enumerate", help="sweep a (d, g) region")
-    p.add_argument("--type", required=True)
+    p.add_argument("--type", type=_family, required=True)
     p.add_argument("--d-max", type=int, required=True)
     p.add_argument("--g-max", type=int, required=True)
     p.add_argument("--format", choices=_FORMATS, default="json")
@@ -241,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=run_table)
 
     p = sub.add_parser("count", help="rigid-curve count for given n and ell")
-    p.add_argument("--n", type=int, required=True, help="number of nodes")
+    p.add_argument("--n", type=_bounded_int, required=True, help="number of nodes")
     p.add_argument("--ell", type=int, required=True,
                    help="dimension of the linear system")
     p.add_argument("--format", choices=("json",), default="json")
@@ -250,21 +250,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(argv: Sequence[str] | None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return EXIT_OK
-        return code if isinstance(code, int) else EXIT_INVALID
-    return args.func(args)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        code = _run(argv)
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # 0 after --help, 2 for an argument error
+            code = exc.code
+        else:
+            code = args.func(args)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout (say, ``| head``).  Point stdout at

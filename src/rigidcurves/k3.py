@@ -43,6 +43,8 @@ class DivisorClass(NamedTuple):
     def __rmul__(self, scalar: int) -> "DivisorClass":
         return DivisorClass(scalar * self.alpha, scalar * self.beta)
 
+    __mul__ = __rmul__
+
 
 HYPERPLANE = DivisorClass(1, 0)
 CURVE = DivisorClass(0, 1)
@@ -58,6 +60,7 @@ class PicardLattice(_LatticeFields):
     """Gram matrix [[2m, d], [d, 2g-2]] on Z*H + Z*C."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, m: int, d: int, g: int) -> "PicardLattice":
         if m < 2:

@@ -38,8 +38,8 @@ def _exact(value: Rational) -> Fraction:
     return Fraction(value)
 
 
-# A NamedTuple body cannot define __new__, so a record that checks its input
-# is a subclass of its fields whose __new__ checks them.
+# A NamedTuple body cannot define __new__ or _make, so a record that checks
+# its input subclasses its fields; its _make, and so _replace, calls cls().
 class _SeriesFields(NamedTuple):
     order: int
     coeffs: tuple[Fraction, ...]
@@ -53,6 +53,7 @@ class TruncatedSeries(_SeriesFields):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(
         cls, order: int, coeffs: Sequence[Rational]

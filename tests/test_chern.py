@@ -88,6 +88,10 @@ class TestExcessCount:
         )
         assert excess_bundle(0) == ProjectiveCotangent()
 
+    def test_negative_node_count_rejected(self):
+        with pytest.raises(ValueError):
+            excess_bundle(-1)
+
     def test_agrees_with_rigid_count_on_grid(self):
         for ell in range(0, 11):
             for n in range(ell + 2, 25):
@@ -110,6 +114,10 @@ class TestRigidCount:
     def test_hypothesis_violation(self):
         with pytest.raises(HypothesisError):
             rigid_count(5, 4)
+
+    def test_negative_ell_rejected(self):
+        with pytest.raises(ValueError):
+            rigid_count(5, -1)
 
     def test_large_count_is_exact(self):
         # C(34, 17) = 2333606220 exceeds 32-bit and a float's exact range

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import enum
 import io
@@ -132,6 +133,14 @@ class TestEnumerateCommand:
         lines = out.splitlines()
         assert lines[0].startswith("| d | g |")
         assert set(lines[1].replace("|", "").split()) == {"---"}
+
+    def test_invalid_family(self):
+        code, out, err = run_cli(
+            ["enumerate", "--type", "7", "--d-max", "3", "--g-max", "1"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "argument --type" in err and "five families" in err
 
     def test_bad_bounds(self):
         code, _, err = run_cli(
@@ -373,6 +382,16 @@ class TestCliContract:
     def test_help_exits_zero(self):
         code, _, _ = run_cli(["--help"])
         assert code == 0
+
+    def test_parser_built_once(self, monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("main built a parser")
+
+        assert run_cli(["table"])[0] == 0  # the first call may build it
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", build)
+        code, out, _ = run_cli(["count", "--n", "16", "--ell", "3"])
+        assert code == 0 and json.loads(out)["agree"] is True
+        assert run_cli(["certify", "--type", "5", "--d", "-1", "--g", "0"])[0] == 2
 
     @pytest.mark.parametrize(
         "fmt, d_max, g_max, head",

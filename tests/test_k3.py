@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +8,7 @@ from rigidcurves.k3 import (
     HYPERPLANE,
     DegreeRangeError,
     DivisorClass,
+    LatticeCorruptionError,
     NonspecialStatus,
     NonspecialityRoute,
     PicardLattice,
@@ -72,6 +74,12 @@ class TestEulerChar:
     def test_polarization_class(self):
         L = PicardLattice(2, 7, 1)
         assert euler_char(L, HYPERPLANE) == 4  # 2m/2 + 2 with m = 2
+
+    def test_odd_square_is_lattice_corruption(self):
+        # an integral class has an even square; H/2 has square m/2 = 1
+        L = PicardLattice(2, 9, 6)
+        with pytest.raises(LatticeCorruptionError):
+            euler_char(L, DivisorClass(Fraction(1, 2), 0))
 
     def test_lattice_identities_random(self):
         rng = random.Random(13)

@@ -15,6 +15,7 @@ from rigidcurves import (
     DivisorClass,
     EmbeddingRow,
     ExcessProblem,
+    HypothesisError,
     KnutsenVerdict,
     NonspecialityRoute,
     NonspecialStatus,
@@ -87,3 +88,32 @@ def test_keyword_constructors_and_defaults():
 def test_scalar_multiple_of_a_class():
     assert 2 * CURVE == DivisorClass(0, 2)
     assert type(2 * CURVE) is DivisorClass
+    assert CURVE * 2 == 2 * CURVE and type(CURVE * 2) is DivisorClass
+
+
+# _replace builds through the constructor: it checks and normalises the new
+# fields and recomputes a derived one.  (a call, what it raises or returns)
+REPLACED = {
+    "ExcessProblem": (lambda: ExcessProblem(36, 2)._replace(n=1),
+                      HypothesisError),
+    "TruncatedSeries": (lambda: TruncatedSeries.one(2)._replace(order=-1),
+                        ValueError),
+    "PicardLattice": (lambda: PicardLattice(2, 9, 6)._replace(m=0),
+                      ValueError),
+    "BundleExpr": (lambda: BundleExpr()._replace(roots=((1, 1), (1, 1))),
+                   BundleExpr(((1, 2),))),
+    "EmbeddingRow": (
+        lambda: EmbeddingRow(CicyType.QUINTIC, (4, 1), 16)._replace(
+            k3_degrees=(2, 2, 2)).m,
+        4),
+}
+
+
+@pytest.mark.parametrize("name", REPLACED)
+def test_replace_goes_through_the_constructor(name):
+    replace, expected = REPLACED[name]
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            replace()
+    else:
+        assert replace() == expected

@@ -58,6 +58,12 @@ class TestConstruction:
         assert TruncatedSeries.from_polynomial((1, 5), 3) == series(1, 5, 0, 0)
         assert TruncatedSeries.from_polynomial((1, 5), 0) == series(1)
 
+    def test_coefficient_past_order_rejected(self):
+        s = series(1, 2, 3)
+        assert s.coefficient(2) == 3
+        with pytest.raises(ValueError):
+            s.coefficient(3)
+
 
 class TestIsOne:
     def test_linear_term_counts(self):

@@ -71,14 +71,13 @@ class _RowFields(NamedTuple):
     cicy: CicyType
     k3_degrees: tuple[int, ...]
     nodes: int
-    m: int  # half the degree, derived from k3_degrees
 
 
 class EmbeddingRow(_RowFields):
     """One admissible (threefold family, K3 type) pair with its node count."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*tuple(fields)[:3]))  # not m
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(
         cls, cicy: CicyType, k3_degrees: tuple[int, ...], nodes: int
@@ -89,11 +88,11 @@ class EmbeddingRow(_RowFields):
                 f"K3 type {k3_degrees} has degree {product}, "
                 "expected 4, 6 or 8"
             )
-        return super().__new__(cls, cicy, k3_degrees, nodes, product // 2)
+        return super().__new__(cls, cicy, k3_degrees, nodes)
 
-    def __getnewargs__(self) -> tuple:
-        # pickle and copy call __new__ with these: the arguments, not m
-        return self[:3]
+    @property
+    def m(self) -> int:  # half the K3 degree: H.H = 2m
+        return math.prod(self.k3_degrees) // 2
 
     def to_dict(self) -> dict:
         return {
@@ -116,6 +115,8 @@ _NODE_TABLE = (
     EmbeddingRow(CicyType.CUBIC_TWO_QUADRICS, (2, 2, 2, 1), 16),
     EmbeddingRow(CicyType.FOUR_QUADRICS, (2, 2, 2, 1, 1), 8),
 )
+_FAMILY_ROWS = {cicy: tuple(row for row in _NODE_TABLE if row.cicy is cicy)
+                for cicy in CicyType}  # family -> its rows, in table order
 
 
 def node_table() -> list[EmbeddingRow]:
@@ -249,15 +250,14 @@ class DerivedVerdict(NamedTuple):
 
 
 def _assess_row(row: EmbeddingRow, d: int, g: int) -> RowAssessment:
-    verdict = knutsen_exists(row.m, d, g)
+    m = row.m
+    verdict = knutsen_exists(m, d, g)
     margin_ok = row.nodes >= g + 2
-    route = nonspeciality_route(row.m, d, g)
-    chain = (
-        ("k3-existence", verdict.exists),
-        ("node-margin", margin_ok),
-        ("nonspeciality", route.route is not NonspecialityRoute.FAIL),
-    )
-    failure = next((name for name, holds in chain if not holds), None)
+    route = nonspeciality_route(m, d, g)
+    failure = ("k3-existence" if not verdict.exists
+               else "node-margin" if not margin_ok
+               else "nonspeciality" if route.route is NonspecialityRoute.FAIL
+               else None)
     viable = failure is None
     count = rigid_count(row.nodes, g) if viable else None
     return RowAssessment(row, verdict, margin_ok, route, viable, count, failure)
@@ -283,14 +283,10 @@ def derived_conditions(cicy: CicyType, d: int, g: int) -> DerivedVerdict:
         return DerivedVerdict(
             False, f"out-of-range: {out_of_range}", max(g, 0), None, (), ()
         )
-    rows = tuple(_assess_row(row, d, g) for row in _NODE_TABLE
-                 if row.cicy is cicy)
-    chosen: RowAssessment | None = None
-    for assessment in rows:
-        if assessment.viable and (
-            chosen is None or assessment.row.nodes > chosen.row.nodes
-        ):
-            chosen = assessment
+    rows = tuple(_assess_row(row, d, g) for row in _FAMILY_ROWS[cicy])
+    # max keeps the first of equal rows, in table order
+    chosen = max((a for a in rows if a.viable), key=lambda a: a.row.nodes,
+                 default=None)
     accept = chosen is not None
     reason = "accepted" if accept else "no-viable-embedding"
     return DerivedVerdict(

@@ -41,6 +41,8 @@ class DivisorClass(NamedTuple):
         return DivisorClass(self.alpha - other.alpha, self.beta - other.beta)
 
     def __rmul__(self, scalar: int) -> "DivisorClass":
+        if not isinstance(scalar, int):
+            return NotImplemented
         return DivisorClass(scalar * self.alpha, scalar * self.beta)
 
     __mul__ = __rmul__

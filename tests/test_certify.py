@@ -162,6 +162,20 @@ class TestDerivedConditions:
         by_k3 = {a.row.k3_degrees: a for a in verdict.rows}
         assert by_k3[(4, 1)].viable and by_k3[(4, 1)].count == 91
 
+    @pytest.mark.parametrize("first, second", [((4, 1), (3, 2)),
+                                               ((3, 2), (4, 1))])
+    def test_equal_node_counts_keep_table_order(self, monkeypatch,
+                                                first, second):
+        # both rows are viable at (6, 2); with equal n the first row wins
+        rows = tuple(EmbeddingRow(CicyType.QUINTIC, k3, 36)
+                     for k3 in (first, second))
+        monkeypatch.setitem(sys.modules["rigidcurves.certify"]._FAMILY_ROWS,
+                            CicyType.QUINTIC, rows)
+        verdict = derived_conditions(CicyType.QUINTIC, 6, 2)
+        assert [a.viable for a in verdict.rows] == [True, True]
+        assert verdict.chosen.row is rows[0]
+        assert verdict.count == 561  # C(34, 2)
+
     def test_four_quadrics_node_margin_failure(self):
         verdict = derived_conditions(CicyType.FOUR_QUADRICS, 13, 8)
         assert not verdict.accept

@@ -9,6 +9,7 @@ import pytest
 
 from rigidcurves import (
     CURVE,
+    HYPERPLANE,
     BundleExpr,
     CicyType,
     Clause,
@@ -26,6 +27,7 @@ from rigidcurves import (
     TruncatedSeries,
     certify,
     derived_conditions,
+    node_table,
     stated_conditions,
 )
 
@@ -89,6 +91,20 @@ def test_scalar_multiple_of_a_class():
     assert 2 * CURVE == DivisorClass(0, 2)
     assert type(2 * CURVE) is DivisorClass
     assert CURVE * 2 == 2 * CURVE and type(CURVE * 2) is DivisorClass
+    # only an int scales a class: no nested records, no float fields
+    for left, right in ((CURVE, CURVE), (CURVE, HYPERPLANE),
+                        (2.5, CURVE), (CURVE, 2.5)):
+        with pytest.raises(TypeError):
+            left * right
+
+
+def test_embedding_row_holds_only_its_arguments():
+    row = EmbeddingRow(CicyType.QUINTIC, (3, 2), 36)
+    assert EmbeddingRow._fields == ("cicy", "k3_degrees", "nodes")
+    assert "m=" not in repr(row)
+    assert EmbeddingRow._make(row) == row
+    assert row.m == 3
+    assert all(r.m in (2, 3, 4) for r in node_table())
 
 
 # _replace builds through the constructor: it checks and normalises the new

@@ -145,9 +145,12 @@ class Clause(NamedTuple):
 
 
 class StatedVerdict(NamedTuple):
-    accept: bool
     reason: str
     clauses: tuple[Clause, ...]
+
+    @property
+    def accept(self) -> bool:
+        return self.reason in ("accepted", "exceptional-pair")
 
     def to_dict(self) -> dict:
         return {
@@ -189,8 +192,7 @@ def stated_conditions(cicy: CicyType, d: int, g: int) -> StatedVerdict:
         (given for clause, decides, given in rules if clause.holds == decides),
         "accepted",
     )
-    accept = reason in ("accepted", "exceptional-pair")
-    return StatedVerdict(accept, reason, tuple(c for c, _, _ in rules))
+    return StatedVerdict(reason, tuple(c for c, _, _ in rules))
 
 
 class RowAssessment(NamedTuple):
@@ -200,9 +202,12 @@ class RowAssessment(NamedTuple):
     knutsen: KnutsenVerdict
     node_margin_ok: bool
     route: RouteResult
-    viable: bool
     count: int | None
     failure: str | None
+
+    @property
+    def viable(self) -> bool:
+        return self.failure is None
 
     def to_dict(self) -> dict:
         return {
@@ -227,12 +232,18 @@ _CITED_CONSTRUCTION_FACTS = (
 
 
 class DerivedVerdict(NamedTuple):
-    accept: bool
     reason: str
     ell: int
     chosen: RowAssessment | None
     rows: tuple[RowAssessment, ...]
-    assumed: tuple[str, ...]
+
+    @property
+    def accept(self) -> bool:
+        return self.chosen is not None
+
+    @property
+    def assumed(self) -> tuple[str, ...]:
+        return _CITED_CONSTRUCTION_FACTS if self.rows else ()
 
     @property
     def count(self) -> int | None:
@@ -258,9 +269,8 @@ def _assess_row(row: EmbeddingRow, d: int, g: int) -> RowAssessment:
                else "node-margin" if not margin_ok
                else "nonspeciality" if route.route is NonspecialityRoute.FAIL
                else None)
-    viable = failure is None
-    count = rigid_count(row.nodes, g) if viable else None
-    return RowAssessment(row, verdict, margin_ok, route, viable, count, failure)
+    count = rigid_count(row.nodes, g) if failure is None else None
+    return RowAssessment(row, verdict, margin_ok, route, count, failure)
 
 
 def derived_conditions(cicy: CicyType, d: int, g: int) -> DerivedVerdict:
@@ -280,18 +290,14 @@ def derived_conditions(cicy: CicyType, d: int, g: int) -> DerivedVerdict:
         if d < 2 * g - 3 else None
     )
     if out_of_range is not None:
-        return DerivedVerdict(
-            False, f"out-of-range: {out_of_range}", max(g, 0), None, (), ()
-        )
+        return DerivedVerdict(f"out-of-range: {out_of_range}", max(g, 0),
+                              None, ())
     rows = tuple(_assess_row(row, d, g) for row in _FAMILY_ROWS[cicy])
     # max keeps the first of equal rows, in table order
     chosen = max((a for a in rows if a.viable), key=lambda a: a.row.nodes,
                  default=None)
-    accept = chosen is not None
-    reason = "accepted" if accept else "no-viable-embedding"
-    return DerivedVerdict(
-        accept, reason, g, chosen, rows, _CITED_CONSTRUCTION_FACTS
-    )
+    reason = "accepted" if chosen is not None else "no-viable-embedding"
+    return DerivedVerdict(reason, g, chosen, rows)
 
 
 class Certificate(NamedTuple):
@@ -302,11 +308,22 @@ class Certificate(NamedTuple):
     g: int
     stated: StatedVerdict
     derived: DerivedVerdict
-    warnings: tuple[str, ...]
 
     @property
     def count(self) -> int | None:
         return self.derived.count
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        rows = self.derived.rows
+        warnings = []
+        if self.stated.accept != self.derived.accept:
+            warnings.append(WARN_DISAGREEMENT)
+        if any(a.knutsen.extrapolated for a in rows):
+            warnings.append(WARN_EXTRAPOLATED)
+        if any(a.viable and a.row in _DISCREPANT_ROWS for a in rows):
+            warnings.append(WARN_TABLE_DISCREPANCY)
+        return tuple(warnings)
 
     def to_dict(self) -> dict:
         return {
@@ -324,18 +341,11 @@ class Certificate(NamedTuple):
 
 
 def certify(cicy: CicyType, d: int, g: int) -> Certificate:
-    """Run both decision modes and cross-flag their disagreements; inputs
-    outside the derived chain's domain are rejections with a reason."""
-    stated = stated_conditions(cicy, d, g)
-    derived = derived_conditions(cicy, d, g)
-    warnings = []
-    if stated.accept != derived.accept:
-        warnings.append(WARN_DISAGREEMENT)
-    if any(a.knutsen.extrapolated for a in derived.rows):
-        warnings.append(WARN_EXTRAPOLATED)
-    if any(a.viable and a.row in _DISCREPANT_ROWS for a in derived.rows):
-        warnings.append(WARN_TABLE_DISCREPANCY)
-    return Certificate(cicy, d, g, stated, derived, tuple(warnings))
+    """Both decision modes side by side; inputs outside the derived chain's
+    domain are rejections with a reason.  The warnings are not stored: the
+    ``Certificate.warnings`` property reads them off the two verdicts."""
+    return Certificate(cicy, d, g, stated_conditions(cicy, d, g),
+                       derived_conditions(cicy, d, g))
 
 
 class TableCheck(NamedTuple):

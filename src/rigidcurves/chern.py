@@ -153,10 +153,7 @@ def rigid_count(n: int, ell: int) -> int:
     This is the independent counterpart of :func:`excess_count`: no series
     arithmetic is involved, so the two routes cross-check each other.
     """
-    if ell < 0:
-        raise ValueError(f"ell must be nonnegative, got {ell}")
-    if n < ell + 2:
-        raise HypothesisError(f"need n >= ell + 2, got n={n}, ell={ell}")
+    ExcessProblem(n, ell)  # the input checks of excess_count
     return math.comb(n - 2, ell)
 
 

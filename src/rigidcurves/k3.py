@@ -154,7 +154,7 @@ _CITED_LATTICE_HYPOTHESES = ("very-ample-polarization", "picard-rank-two")
 class NonspecialVerdict(NamedTuple):
     status: NonspecialStatus
     reason: str
-    assumed: tuple[str, ...] = _CITED_LATTICE_HYPOTHESES
+    assumed = _CITED_LATTICE_HYPOTHESES  # a class constant, not a field
 
     def to_dict(self) -> dict:
         return {
@@ -195,8 +195,15 @@ class NonspecialityRoute(Enum):
 
 
 class RouteResult(NamedTuple):
-    route: NonspecialityRoute
     lattice: NonspecialVerdict | None
+
+    @property
+    def route(self) -> NonspecialityRoute:
+        if self.lattice is None:
+            return NonspecialityRoute.RIEMANN_ROCH
+        if self.lattice.status is NonspecialStatus.NONSPECIAL:
+            return NonspecialityRoute.LATTICE_BOUND
+        return NonspecialityRoute.FAIL
 
     def to_dict(self) -> dict:
         return {
@@ -217,9 +224,5 @@ def nonspeciality_route(m: int, d: int, g: int) -> RouteResult:
         raise DegreeRangeError(
             f"degree {d} below the supported floor 2g-3 = {2 * g - 3}"
         )
-    if d >= 2 * g - 1:
-        return RouteResult(NonspecialityRoute.RIEMANN_ROCH, None)
-    verdict = lattice_nonspecial(m, d, g)
-    if verdict.status is NonspecialStatus.NONSPECIAL:
-        return RouteResult(NonspecialityRoute.LATTICE_BOUND, verdict)
-    return RouteResult(NonspecialityRoute.FAIL, verdict)
+    return RouteResult(None if d >= 2 * g - 1
+                       else lattice_nonspecial(m, d, g))

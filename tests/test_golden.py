@@ -1,4 +1,5 @@
-"""Golden CLI outputs: stdout sha256 and exit code for fixed invocations.
+"""Golden outputs: stdout sha256 and exit code for fixed CLI invocations,
+and one sha256 over the library's certificates for a whole input box.
 
 Any change to a byte of these outputs, or to an exit code, fails here;
 re-pin only for a deliberate change of output.
@@ -7,9 +8,11 @@ re-pin only for a deliberate change of output.
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
+from rigidcurves import CicyType, certify
 from rigidcurves.cli import main
 
 GOLDEN = [
@@ -156,3 +159,19 @@ def test_golden_output(argv, code, digest):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) == code
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+# every family, -3 <= d < 45, -3 <= g < 25: out-of-range verdicts included
+LIBRARY_DIGEST = (
+    "abcc72999ec97476bd8c83a066f7c05b13b7a458b430eb5f667a10ee8913ed22"
+)
+
+
+def test_golden_library_certificates():
+    digest = hashlib.sha256()
+    for cicy in CicyType:
+        for d in range(-3, 45):
+            for g in range(-3, 25):
+                document = certify(cicy, d, g).to_dict()
+                digest.update(json.dumps(document).encode())
+    assert digest.hexdigest() == LIBRARY_DIGEST

@@ -12,7 +12,9 @@ from rigidcurves import (
     HYPERPLANE,
     BundleExpr,
     CicyType,
+    Certificate,
     Clause,
+    DerivedVerdict,
     DivisorClass,
     EmbeddingRow,
     ExcessProblem,
@@ -23,6 +25,8 @@ from rigidcurves import (
     NonspecialVerdict,
     PicardLattice,
     RouteResult,
+    RowAssessment,
+    StatedVerdict,
     TableCheck,
     TruncatedSeries,
     certify,
@@ -43,15 +47,14 @@ RECORDS = {
     "NonspecialVerdict": (
         "reason",
         lambda: NonspecialVerdict(NonspecialStatus.NONSPECIAL, "d=9 > 8")),
-    "RouteResult": (
-        "route", lambda: RouteResult(NonspecialityRoute.RIEMANN_ROCH, None)),
+    "RouteResult": ("lattice", lambda: RouteResult(None)),
     "EmbeddingRow": (
         "nodes", lambda: EmbeddingRow(CicyType.QUINTIC, (3, 2), 36)),
     "Clause": ("holds", lambda: Clause("genus-cap", True, "g=2 < 35")),
     "StatedVerdict": (
-        "accept", lambda: stated_conditions(CicyType.QUINTIC, 6, 2)),
+        "reason", lambda: stated_conditions(CicyType.QUINTIC, 6, 2)),
     "RowAssessment": (
-        "viable", lambda: derived_conditions(CicyType.QUINTIC, 6, 2).rows[1]),
+        "failure", lambda: derived_conditions(CicyType.QUINTIC, 6, 2).rows[1]),
     "DerivedVerdict": (
         "ell", lambda: derived_conditions(CicyType.BICUBIC, 7, 4)),
     "Certificate": ("d", lambda: certify(CicyType.QUINTIC, 6, 2)),
@@ -105,6 +108,41 @@ def test_embedding_row_holds_only_its_arguments():
     assert EmbeddingRow._make(row) == row
     assert row.m == 3
     assert all(r.m in (2, 3, 4) for r in node_table())
+
+
+# A verdict stores only the facts it is built from; accept, viable, route,
+# warnings and assumed are properties read off them.
+FIELDS = {
+    StatedVerdict: ("reason", "clauses"),
+    RowAssessment: ("row", "knutsen", "node_margin_ok", "route", "count",
+                    "failure"),
+    DerivedVerdict: ("reason", "ell", "chosen", "rows"),
+    Certificate: ("cicy", "d", "g", "stated", "derived"),
+    RouteResult: ("lattice",),
+    NonspecialVerdict: ("status", "reason"),
+}
+
+
+@pytest.mark.parametrize("record", FIELDS, ids=lambda r: r.__name__)
+def test_verdict_stores_each_fact_once(record):
+    assert record._fields == FIELDS[record]
+
+
+def test_replace_cannot_make_an_inconsistent_verdict():
+    derived = derived_conditions(CicyType.QUINTIC, 6, 2)
+    assert derived.accept and derived.rows[0].viable
+    assert derived._replace(chosen=None).accept is False
+    assert derived.rows[0]._replace(failure="node-margin").viable is False
+    assert derived._replace(rows=()).assumed == ()
+    stated = stated_conditions(CicyType.QUINTIC, 5, 3)
+    assert stated._replace(reason="accepted").accept is True
+    assert RouteResult(None).route is NonspecialityRoute.RIEMANN_ROCH
+    lattice = NonspecialVerdict(NonspecialStatus.INCONCLUSIVE, "d=7 <= 8")
+    assert RouteResult(lattice).route is NonspecialityRoute.FAIL
+    certificate = certify(CicyType.QUINTIC, 6, 2)
+    assert certificate.warnings == ()
+    assert certificate._replace(derived=derived._replace(chosen=None)
+                                ).warnings == ("stated-derived-disagreement",)
 
 
 # _replace builds through the constructor: it checks and normalises the new

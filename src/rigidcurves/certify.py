@@ -16,7 +16,7 @@ an accepted certificate is C(n - 2, g) for the chosen embedding row.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from enum import Enum
 from typing import NamedTuple
 
@@ -138,7 +138,12 @@ _STATED_CASES = {
 class Clause(NamedTuple):
     name: str
     holds: bool
-    detail: str = ""
+    template: str = ""
+    values: tuple = ()
+
+    @property
+    def detail(self) -> str:  # formatted on read: CSV never reads it
+        return self.template % self.values
 
     def to_dict(self) -> dict:
         return {"name": self.name, "holds": self.holds, "detail": self.detail}
@@ -160,39 +165,48 @@ class StatedVerdict(NamedTuple):
         }
 
 
+# clause name -> (the ``holds`` value on which the clause decides, the
+# reason it then gives); the first clause that decides sets the reason.
+_CLAUSE_DECISIONS = {
+    "genus-nonnegative": (False, "genus-negative"),
+    "degree-range": (False, "degree-out-of-range"),
+    "exceptional-pair": (True, "exceptional-pair"),
+    "genus-degree-bound": (False, "genus-degree-bound-failed"),
+    "genus-cap": (False, "genus-cap-exceeded"),
+    "forbidden-pair-avoided": (False, "forbidden-pair"),
+    "degree-dominates": (False, "degree-too-small"),
+}
+
+
 def stated_conditions(cicy: CicyType, d: int, g: int) -> StatedVerdict:
     """Literal per-family case conditions, with every clause traced."""
     m, genus_cap, forbidden, exceptional = _STATED_CASES[cicy]
-
-    # Each rule is (clause, the ``holds`` value on which it decides, the
-    # reason it then gives); the first rule that decides sets the reason.
-    rules = [
-        (Clause("genus-nonnegative", g >= 0, f"g={g}"), False, "genus-negative"),
-        (Clause("degree-range", d >= 2 * g - 3, f"d={d} >= 2g-3={2 * g - 3}"),
-         False, "degree-out-of-range"),
-    ]
-    if exceptional is not None:
-        rules.append((Clause("exceptional-pair", (d, g) == exceptional,
-                             f"(d,g)={exceptional}"),
-                      True, "exceptional-pair"))
-    rules += [
-        (Clause("genus-degree-bound", 4 * m * g < d * d,
-                f"{4 * m}*g={4 * m * g} < d^2={d * d}"),
-         False, "genus-degree-bound-failed"),
-        (Clause("genus-cap", g < genus_cap, f"g={g} < {genus_cap}"),
-         False, "genus-cap-exceeded"),
-        (Clause("forbidden-pair-avoided", (d, g) != forbidden,
-                f"(d,g) != {forbidden}"),
-         False, "forbidden-pair"),
-        (Clause("degree-dominates", d > 2 * g - 2 or d > g + m,
-                f"d > 2g-2={2 * g - 2} or d > g+{m}={g + m}"),
-         False, "degree-too-small"),
-    ]
-    reason = next(
-        (given for clause, decides, given in rules if clause.holds == decides),
-        "accepted",
+    clauses = (
+        Clause("genus-nonnegative", g >= 0, "g=%s", (g,)),
+        Clause("degree-range", d >= 2 * g - 3, "d=%s >= 2g-3=%s",
+               (d, 2 * g - 3)),
     )
-    return StatedVerdict(reason, tuple(c for c, _, _ in rules))
+    if exceptional is not None:
+        clauses += (Clause("exceptional-pair", (d, g) == exceptional,
+                           "(d,g)=%s", (exceptional,)),)
+    clauses += (
+        Clause("genus-degree-bound", 4 * m * g < d * d,
+               "%s*g=%s < d^2=%s", (4 * m, 4 * m * g, d * d)),
+        Clause("genus-cap", g < genus_cap, "g=%s < %s", (g, genus_cap)),
+        Clause("forbidden-pair-avoided", (d, g) != forbidden,
+               "(d,g) != %s", (forbidden,)),
+        Clause("degree-dominates", d > 2 * g - 2 or d > g + m,
+               "d > 2g-2=%s or d > g+%s=%s", (2 * g - 2, m, g + m)),
+    )
+    for clause in clauses:
+        decides, reason = _CLAUSE_DECISIONS[clause.name]
+        if clause.holds == decides:
+            return StatedVerdict(reason, clauses)
+    return StatedVerdict("accepted", clauses)
+
+
+def _decimal(count: int | None) -> str | None:  # counts go out as strings
+    return str(count) if count is not None else None
 
 
 class RowAssessment(NamedTuple):
@@ -216,7 +230,7 @@ class RowAssessment(NamedTuple):
             "node_margin_ok": self.node_margin_ok,
             "route": self.route.to_dict(),
             "viable": self.viable,
-            "count": str(self.count) if self.count is not None else None,
+            "count": _decimal(self.count),
             "failure": self.failure,
         }
 
@@ -325,19 +339,26 @@ class Certificate(NamedTuple):
             warnings.append(WARN_TABLE_DISCREPANCY)
         return tuple(warnings)
 
+    def members(self) -> tuple[tuple[str, object, Callable], ...]:
+        """``(key, source, build)`` for each top-level member of
+        ``to_dict()``, in key order.  The member is ``build(source)``, a pure
+        function of its source, so equal sources give equal members."""
+        return (
+            ("input", (self.cicy, self.d, self.g), _input_member),
+            ("stated", self.stated, StatedVerdict.to_dict),
+            ("derived", self.derived, DerivedVerdict.to_dict),
+            ("count", self.count, _decimal),
+            ("warnings", self.warnings, list),
+        )
+
     def to_dict(self) -> dict:
-        return {
-            "input": {
-                "type": self.cicy.type_string(),
-                "degrees": list(self.cicy.degrees),
-                "d": self.d,
-                "g": self.g,
-            },
-            "stated": self.stated.to_dict(),
-            "derived": self.derived.to_dict(),
-            "count": str(self.count) if self.count is not None else None,
-            "warnings": list(self.warnings),
-        }
+        return {key: build(source) for key, source, build in self.members()}
+
+
+def _input_member(source: tuple[CicyType, int, int]) -> dict:
+    cicy, d, g = source
+    return {"type": cicy.type_string(), "degrees": list(cicy.degrees),
+            "d": d, "g": g}
 
 
 def certify(cicy: CicyType, d: int, g: int) -> Certificate:

@@ -142,18 +142,18 @@ def run_enumerate(args: argparse.Namespace) -> int:
         write('{\n  "input": ' + _encode(region, "\n  ")
               + ',\n  "certificates": [')
         separator, inner = "\n    ", "\n      "
-        # Consecutive certificates mostly share their sub-documents, so each
-        # key keeps the previous certificate's value and its encoded member
-        # and encodes again only a value that differs (!=) from it.  Equal
-        # values encode alike: no path mixes bool and int (True == 1).
+        # Consecutive certificates mostly share their records, so each key
+        # keeps the record its last member was built from, with the encoded
+        # member, and builds and encodes again only a record that differs
+        # (!=).  Equal records encode alike: no path mixes bool and int.
         last: dict[str, tuple[object, str]] = {}
         for certificate in certificates:
             members = []
-            for key, value in certificate.to_dict().items():
+            for key, source, build in certificate.members():
                 held = last.get(key)
-                if held is None or held[0] != value:
-                    held = last[key] = (value, encode_basestring_ascii(key)
-                                        + ": " + _encode(value, inner))
+                if held is None or held[0] != source:
+                    held = last[key] = (source, encode_basestring_ascii(key)
+                                        + ": " + _encode(build(source), inner))
                 members.append(held[1])
             write(separator + "{" + inner + ("," + inner).join(members)
                   + "\n    }")

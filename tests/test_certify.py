@@ -18,6 +18,7 @@ from rigidcurves.certify import (
     verify_node_table,
 )
 from rigidcurves.chern import ExcessProblem, excess_count, rigid_count
+from rigidcurves.cli import _certificate_row
 from rigidcurves.k3 import DegreeRangeError, NonspecialityRoute
 
 EXPECTED_TABLE = [
@@ -234,6 +235,16 @@ class TestDerivedConditions:
 
 
 class TestCertify:
+    def test_returns_past_the_int_to_str_limit(self):
+        # d^2 has 4301 digits, one past Python's default int-to-str limit;
+        # clause details are formatted on read, so only to_dict() prints it
+        certificate = certify(CicyType.QUINTIC, 10**2150, 1)
+        assert certificate.stated.accept and certificate.derived.accept
+        assert _certificate_row(certificate)[:4] == [
+            str(10**2150), "1", "accept", "accept"]
+        with pytest.raises(ValueError):
+            certificate.to_dict()
+
     def test_quintic_accept_end_to_end(self):
         certificate = certify(CicyType.QUINTIC, 6, 2)
         assert certificate.stated.accept and certificate.derived.accept

@@ -151,6 +151,10 @@ class TestDegeneracyCount:
             expr = expr - BundleExpr.sum_of_line_twists(row.k3_degrees)
             assert total_chern(expr, 2).coefficient(1) == 0
 
+    def test_pair_off_the_table_with_nonzero_first_chern_class(self):
+        # total class 1 + h - 7h^2, so (1 + 7) * 3 = 24; c1 = 1 here
+        assert degeneracy_count((5,), (3, 1)) == 24
+
     def test_sorting_is_input_order_independent(self):
         assert degeneracy_count((2, 4), (1, 3, 2)) == degeneracy_count(
             (4, 2), (3, 2, 1)

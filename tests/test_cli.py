@@ -17,6 +17,8 @@ import rigidcurves
 from rigidcurves.certify import (
     ENUMERATION_GUARD,
     CicyType,
+    DerivedVerdict,
+    StatedVerdict,
     certify,
     enumerate_region,
 )
@@ -244,6 +246,36 @@ class TestEnumerateCommand:
         assert {bool, int} <= set().union(*types.values())
         assert [p for p, seen in types.items() if {bool, int} <= seen] == []
 
+    def test_members_are_functions_of_their_records(self):
+        # The writer reuses a member's text while its record is equal, so
+        # certificates with equal records under a key must encode alike.
+        encoded, members = {}, 0
+        for cicy in CicyType:
+            for certificate in enumerate_region(cicy, 60, 25):
+                for key, source, build in certificate.members():
+                    text = _encode(build(source), "\n      ")
+                    assert encoded.setdefault((key, source), text) == text
+                    members += 1
+        assert len(encoded) < members // 2  # records do repeat
+
+    def test_json_builds_a_member_only_when_its_record_changes(
+            self, monkeypatch):
+        builds = {StatedVerdict: 0, DerivedVerdict: 0}
+        for record in builds:
+            def counted(verdict, record=record, to_dict=record.to_dict):
+                builds[record] += 1
+                return to_dict(verdict)
+            monkeypatch.setattr(record, "to_dict", counted)
+
+        code, _, _ = run_cli(["enumerate", "--type", "2,2,2,2", "--d-max",
+                              "40", "--g-max", "8", "--format", "json"])
+        assert code == 0
+        derived = [c.derived
+                   for c in enumerate_region(CicyType.FOUR_QUADRICS, 40, 8)]
+        changes = 1 + sum(a != b for a, b in zip(derived, derived[1:]))
+        assert changes < len(derived) // 4
+        assert builds == {StatedVerdict: len(derived), DerivedVerdict: changes}
+
 
 class Discard:
     """A stdout that keeps nothing written to it."""
@@ -363,6 +395,27 @@ class TestCliContract:
     def test_missing_required_argument(self):
         code, _, _ = run_cli(["certify", "--type", "5", "--d", "6"])
         assert code == 2
+
+    # each required argument omitted in turn, and the subcommand
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["certify", "--d", "6", "--g", "2"],
+            ["certify", "--type", "5", "--g", "2"],
+            ["enumerate", "--d-max", "6", "--g-max", "2"],
+            ["enumerate", "--type", "5", "--g-max", "2"],
+            ["enumerate", "--type", "5", "--d-max", "6"],
+            ["count", "--ell", "3"],
+            ["count", "--n", "16"],
+        ],
+        ids=["command", "certify-type", "certify-d", "enumerate-type",
+             "enumerate-d-max", "enumerate-g-max", "count-n", "count-ell"],
+    )
+    def test_each_required_argument_is_required(self, argv):
+        code, out, _ = run_cli(argv)
+        assert code == 2
+        assert out == ""
 
     @pytest.mark.parametrize("fmt", ["csv", "markdown"])
     @pytest.mark.parametrize(

@@ -2,7 +2,9 @@
 and one sha256 over the library's certificates for a whole input box.
 
 Any change to a byte of these outputs, or to an exit code, fails here;
-re-pin only for a deliberate change of output.
+re-pin only for a deliberate change of output.  The module also runs without
+pytest, under any supported Python: ``PYTHONPATH=src python
+tests/test_golden.py``.
 """
 
 import contextlib
@@ -10,7 +12,10 @@ import hashlib
 import io
 import json
 
-import pytest
+try:
+    import pytest
+except ImportError:  # run standalone, by the __main__ block below
+    pytest = None
 
 from rigidcurves import CicyType, certify
 from rigidcurves.cli import main
@@ -148,17 +153,27 @@ GOLDEN = [
         0,
         "6dc77fdac39c69e5b0c3a9980fa276dca25ca0a8515593c80636f04ac1d5c26c",
     ),
+    (
+        # many derived rows that change, and repeat, inside each genus
+        ["enumerate", "--type", "4,2", "--d-max", "60", "--g-max", "20",
+         "--format", "json"],
+        0,
+        "751dd4fdb5e510546ae58608abbb638829b37f1ed5752c56098fafa552d61a12",
+    ),
 ]
 
 
-@pytest.mark.parametrize(
-    "argv, code, digest", GOLDEN, ids=[" ".join(a) for a, _, _ in GOLDEN]
-)
 def test_golden_output(argv, code, digest):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) == code
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+if pytest is not None:
+    test_golden_output = pytest.mark.parametrize(
+        "argv, code, digest", GOLDEN, ids=[" ".join(a) for a, _, _ in GOLDEN]
+    )(test_golden_output)
 
 
 # every family, -3 <= d < 45, -3 <= g < 25: out-of-range verdicts included
@@ -175,3 +190,18 @@ def test_golden_library_certificates():
                 document = certify(cicy, d, g).to_dict()
                 digest.update(json.dumps(document).encode())
     assert digest.hexdigest() == LIBRARY_DIGEST
+
+
+if __name__ == "__main__":
+    checks = [(" ".join(case[0]), lambda case=case: test_golden_output(*case))
+              for case in GOLDEN]
+    checks.append(("library certificates", test_golden_library_certificates))
+    failures = 0
+    for name, check in checks:
+        try:
+            check()
+        except Exception as exc:  # keep going; report everything
+            failures += 1
+            print(f"FAIL {name}: {type(exc).__name__} {exc}")
+    print(f"{len(checks) - failures} of {len(checks)} golden checks match")
+    raise SystemExit(1 if failures else 0)

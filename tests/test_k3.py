@@ -35,6 +35,9 @@ class TestLattice:
         D = CURVE - HYPERPLANE
         assert pair(L, D, D) == -6  # 2m - 2g + 2
 
+    def test_difference_subtracts_both_coordinates(self):
+        assert DivisorClass(2, 3) - DivisorClass(1, 1) == DivisorClass(1, 2)
+
     def test_pair_symmetric_random(self):
         rng = random.Random(11)
         for _ in range(100):

@@ -16,7 +16,7 @@ an accepted certificate is C(n - 2, g) for the chosen embedding row.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from enum import Enum
 from typing import NamedTuple
 
@@ -27,6 +27,7 @@ from .k3 import (
     RouteResult,
     knutsen_exists,
     nonspeciality_route,
+    _shown,
 )
 
 ENUMERATION_GUARD = 10_000
@@ -34,6 +35,20 @@ ENUMERATION_GUARD = 10_000
 WARN_DISAGREEMENT = "stated-derived-disagreement"
 WARN_EXTRAPOLATED = "knutsen-extrapolated"
 WARN_TABLE_DISCREPANCY = "node-table-discrepancy"
+
+
+# A record's JSON shape has one definition, its ``members()``: ``(key,
+# source, build)`` per member, in key order.  The member is ``source`` where
+# ``build`` is None (a scalar), else ``build(source)``, a pure function of
+# it; ``_document`` builds a nested record (or None), ``_documents`` a list.
+def _document(record) -> dict | None:
+    return None if record is None else {
+        key: source if build is None else build(source)
+        for key, source, build in record.members()}
+
+
+def _documents(records) -> list[dict]:
+    return [_document(record) for record in records]
 
 
 class CicyType(Enum):
@@ -94,13 +109,12 @@ class EmbeddingRow(_RowFields):
     def m(self) -> int:  # half the K3 degree: H.H = 2m
         return math.prod(self.k3_degrees) // 2
 
-    def to_dict(self) -> dict:
-        return {
-            "cicy": list(self.cicy.degrees),
-            "k3": list(self.k3_degrees),
-            "n": self.nodes,
-            "m": self.m,
-        }
+    def members(self) -> tuple:
+        return (("cicy", self.cicy.degrees, list),
+                ("k3", self.k3_degrees, list),
+                ("n", self.nodes, None), ("m", self.m, None))
+
+    to_dict = _document
 
 
 _NODE_TABLE = (
@@ -145,8 +159,11 @@ class Clause(NamedTuple):
     def detail(self) -> str:  # formatted on read: CSV never reads it
         return self.template % self.values
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "holds": self.holds, "detail": self.detail}
+    def members(self) -> tuple:
+        return (("name", self.name, None), ("holds", self.holds, None),
+                ("detail", self.detail, None))
+
+    to_dict = _document
 
 
 class StatedVerdict(NamedTuple):
@@ -157,12 +174,11 @@ class StatedVerdict(NamedTuple):
     def accept(self) -> bool:
         return self.reason in ("accepted", "exceptional-pair")
 
-    def to_dict(self) -> dict:
-        return {
-            "accept": self.accept,
-            "reason": self.reason,
-            "clauses": [c.to_dict() for c in self.clauses],
-        }
+    def members(self) -> tuple:
+        return (("accept", self.accept, None), ("reason", self.reason, None),
+                ("clauses", self.clauses, _documents))
+
+    to_dict = _document
 
 
 # clause name -> (the ``holds`` value on which the clause decides, the
@@ -223,16 +239,15 @@ class RowAssessment(NamedTuple):
     def viable(self) -> bool:
         return self.failure is None
 
-    def to_dict(self) -> dict:
-        return {
-            **self.row.to_dict(),
-            "knutsen": self.knutsen.to_dict(),
-            "node_margin_ok": self.node_margin_ok,
-            "route": self.route.to_dict(),
-            "viable": self.viable,
-            "count": _decimal(self.count),
-            "failure": self.failure,
-        }
+    def members(self) -> tuple:
+        return self.row.members() + (
+            ("knutsen", self.knutsen, KnutsenVerdict.to_dict),
+            ("node_margin_ok", self.node_margin_ok, None),
+            ("route", self.route, RouteResult.to_dict),
+            ("viable", self.viable, None), ("count", self.count, _decimal),
+            ("failure", self.failure, None))
+
+    to_dict = _document
 
 
 # Construction facts that hold for every table embedding and are recorded
@@ -263,15 +278,13 @@ class DerivedVerdict(NamedTuple):
     def count(self) -> int | None:
         return self.chosen.count if self.chosen is not None else None
 
-    def to_dict(self) -> dict:
-        return {
-            "accept": self.accept,
-            "reason": self.reason,
-            "ell": self.ell,
-            "chosen": self.chosen.to_dict() if self.chosen else None,
-            "rows": [a.to_dict() for a in self.rows],
-            "assumed_by_citation": list(self.assumed),
-        }
+    def members(self) -> tuple:
+        return (("accept", self.accept, None), ("reason", self.reason, None),
+                ("ell", self.ell, None), ("chosen", self.chosen, _document),
+                ("rows", self.rows, _documents),
+                ("assumed_by_citation", self.assumed, list))
+
+    to_dict = _document
 
 
 def _assess_row(row: EmbeddingRow, d: int, g: int) -> RowAssessment:
@@ -298,10 +311,10 @@ def derived_conditions(cicy: CicyType, d: int, g: int) -> DerivedVerdict:
     no rows and nothing assumed.
     """
     out_of_range = (
-        f"genus must be nonnegative, got {g}" if g < 0
-        else f"degree must be positive, got {d}" if d < 1
-        else f"degree {d} below the supported floor 2g-3 = {2 * g - 3}"
-        if d < 2 * g - 3 else None
+        f"genus must be nonnegative, got {_shown(g)}" if g < 0
+        else f"degree must be positive, got {_shown(d)}" if d < 1
+        else f"degree {_shown(d)} below the supported floor 2g-3 = "
+             f"{_shown(2 * g - 3)}" if d < 2 * g - 3 else None
     )
     if out_of_range is not None:
         return DerivedVerdict(f"out-of-range: {out_of_range}", max(g, 0),
@@ -312,6 +325,17 @@ def derived_conditions(cicy: CicyType, d: int, g: int) -> DerivedVerdict:
                  default=None)
     reason = "accepted" if chosen is not None else "no-viable-embedding"
     return DerivedVerdict(reason, g, chosen, rows)
+
+
+class _Input(NamedTuple):  # the "input" member of a certificate
+    cicy: CicyType
+    d: int
+    g: int
+
+    def members(self) -> tuple:
+        return (("type", self.cicy, CicyType.type_string),
+                ("degrees", self.cicy.degrees, list),
+                ("d", self.d, None), ("g", self.g, None))
 
 
 class Certificate(NamedTuple):
@@ -339,26 +363,15 @@ class Certificate(NamedTuple):
             warnings.append(WARN_TABLE_DISCREPANCY)
         return tuple(warnings)
 
-    def members(self) -> tuple[tuple[str, object, Callable], ...]:
-        """``(key, source, build)`` for each top-level member of
-        ``to_dict()``, in key order.  The member is ``build(source)``, a pure
-        function of its source, so equal sources give equal members."""
-        return (
-            ("input", (self.cicy, self.d, self.g), _input_member),
-            ("stated", self.stated, StatedVerdict.to_dict),
-            ("derived", self.derived, DerivedVerdict.to_dict),
-            ("count", self.count, _decimal),
-            ("warnings", self.warnings, list),
-        )
+    def members(self) -> tuple:
+        """The members of ``to_dict()``, as ``_document`` reads them."""
+        return (("input", _Input(self.cicy, self.d, self.g), _document),
+                ("stated", self.stated, _document),
+                ("derived", self.derived, _document),
+                ("count", self.count, _decimal),
+                ("warnings", self.warnings, list))
 
-    def to_dict(self) -> dict:
-        return {key: build(source) for key, source, build in self.members()}
-
-
-def _input_member(source: tuple[CicyType, int, int]) -> dict:
-    cicy, d, g = source
-    return {"type": cicy.type_string(), "degrees": list(cicy.degrees),
-            "d": d, "g": g}
+    to_dict = _document
 
 
 def certify(cicy: CicyType, d: int, g: int) -> Certificate:

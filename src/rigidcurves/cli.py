@@ -21,6 +21,8 @@ from .certify import (
     ENUMERATION_GUARD,
     Certificate,
     CicyType,
+    _document,
+    _documents,
     certify,
     enumerate_region,
     verify_node_table,
@@ -56,23 +58,25 @@ def _bounded_int(text: str) -> int:
     return value
 
 
+# the JSON text of a scalar, by exact type (a str or int subclass is none)
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
+            bool: {False: "false", True: "true"}.__getitem__,
+            type(None): {None: "null"}.__getitem__}
+
+
 def _encode(value: object, newline: str = "\n") -> str:
     """``json.dumps(value, indent=2)``, byte for byte, for a document of
     ``dict`` (``str`` keys), ``list``, ``str``, ``int``, ``bool`` and ``None``.
 
     ``newline`` is the line break and indentation of the line ``value``
-    starts on.  Any other type raises ``TypeError``: floats, non-``str``
-    keys, and subclasses of ``str`` or ``int``.
+    starts on.  A scalar item is encoded in place, by ``_SCALARS``.  Any
+    other type raises ``TypeError``: floats, non-``str`` keys, and
+    subclasses of ``str`` or ``int``.
     """
     kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return int.__repr__(value)
-    if value is None:
-        return "null"
-    if kind is bool:
-        return "true" if value else "false"
+    scalar = _SCALARS.get(kind)
+    if scalar is not None:
+        return scalar(value)
     inner = newline + "  "
     if kind is dict:
         if not value:
@@ -81,15 +85,43 @@ def _encode(value: object, newline: str = "\n") -> str:
         for key, item in value.items():
             if type(key) is not str:
                 raise TypeError(f"cannot encode {type(key).__name__} key")
-            parts.append(
-                encode_basestring_ascii(key) + ": " + _encode(item, inner))
+            scalar = _SCALARS.get(type(item))
+            parts.append(encode_basestring_ascii(key) + ": " + (
+                scalar(item) if scalar else _encode(item, inner)))
         return "{" + inner + ("," + inner).join(parts) + newline + "}"
     if kind is list:
         if not value:
             return "[]"
-        parts = [_encode(item, inner) for item in value]
+        parts = [scalar(item) if (scalar := _SCALARS.get(type(item)))
+                 else _encode(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(parts) + newline + "]"
     raise TypeError(f"cannot encode {kind.__name__} as JSON")
+
+
+def _member(slots: dict, at: object, source: object, build, newline: str
+            ) -> str:
+    """``_encode(build(source), newline)``, kept in slot ``at`` with
+    ``source`` and the slots under it, and reused while ``source`` equals
+    (``==``) the one there.  A record is built from its ``members()``, each
+    in a slot of its own, so only the records that changed are encoded."""
+    held = slots.get(at)
+    if held is not None and held[0] == source:
+        return held[1]
+    nested, inner, parts = {} if held is None else held[2], newline + "  ", []
+    if build is _documents and source:
+        for i, item in enumerate(source):
+            parts.append(_member(nested, i, item, _document, inner))
+        text = "[" + inner + ("," + inner).join(parts) + newline + "]"
+    elif build is _document and source is not None:
+        for key, value, make in source.members():
+            parts.append(encode_basestring_ascii(key) + ": " + (
+                _SCALARS[type(value)](value) if make is None
+                else _member(nested, key, value, make, inner)))
+        text = "{" + inner + ("," + inner).join(parts) + newline + "}"
+    else:
+        text = _encode(build(source), newline)
+    slots[at] = (source, text, nested)
+    return text
 
 
 def _emit_rows(header: list[str], rows: Iterable[list[str]], fmt: str) -> None:
@@ -141,22 +173,12 @@ def run_enumerate(args: argparse.Namespace) -> int:
                   "g_max": args.g_max}
         write('{\n  "input": ' + _encode(region, "\n  ")
               + ',\n  "certificates": [')
-        separator, inner = "\n    ", "\n      "
-        # Consecutive certificates mostly share their records, so each key
-        # keeps the record its last member was built from, with the encoded
-        # member, and builds and encodes again only a record that differs
-        # (!=).  Equal records encode alike: no path mixes bool and int.
-        last: dict[str, tuple[object, str]] = {}
+        # one slot per document path, for this call only (see _member):
+        # consecutive certificates mostly share their records
+        separator, slots = "\n    ", {}
         for certificate in certificates:
-            members = []
-            for key, source, build in certificate.members():
-                held = last.get(key)
-                if held is None or held[0] != source:
-                    held = last[key] = (source, encode_basestring_ascii(key)
-                                        + ": " + _encode(build(source), inner))
-                members.append(held[1])
-            write(separator + "{" + inner + ("," + inner).join(members)
-                  + "\n    }")
+            write(separator + _member(slots, None, certificate, _document,
+                                      "\n    "))
             separator = ",\n    "
         write("]\n}\n" if separator == "\n    " else "\n  ]\n}\n")
     else:

@@ -140,6 +140,14 @@ def knutsen_exists(m: int, d: int, g: int) -> KnutsenVerdict:
     return KnutsenVerdict(True, "genus-degree-bound", extrapolated)
 
 
+def _shown(n: int) -> str:  # so that a stored reason never raises
+    """``str(n)``, or past the int-to-str limit its sign and bit length."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit integer>"
+
+
 class NonspecialStatus(Enum):
     NONSPECIAL = "applies-and-nonspecial"
     INCONCLUSIVE = "applies-and-inconclusive"
@@ -174,17 +182,18 @@ def lattice_nonspecial(m: int, d: int, g: int) -> NonspecialVerdict:
     if m < 2 or g <= m + 2:
         return NonspecialVerdict(
             NonspecialStatus.NOT_APPLICABLE,
-            f"requires m >= 2 and g > m + 2, got m={m}, g={g}",
+            f"requires m >= 2 and g > m + 2, got m={_shown(m)}, "
+            f"g={_shown(g)}",
         )
     floor = max(2 * g - 4, m + g)
     if d > floor:
         return NonspecialVerdict(
             NonspecialStatus.NONSPECIAL,
-            f"d={d} > max(2g-4, m+g) = {floor}",
+            f"d={_shown(d)} > max(2g-4, m+g) = {_shown(floor)}",
         )
     return NonspecialVerdict(
         NonspecialStatus.INCONCLUSIVE,
-        f"d={d} <= max(2g-4, m+g) = {floor}",
+        f"d={_shown(d)} <= max(2g-4, m+g) = {_shown(floor)}",
     )
 
 

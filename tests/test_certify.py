@@ -245,6 +245,29 @@ class TestCertify:
         with pytest.raises(ValueError):
             certificate.to_dict()
 
+    # each raised ValueError at the int-to-str limit while a reason printed
+    # the number; a stored reason now names its sign and bit length instead
+    @pytest.mark.parametrize("d, g, reason", [
+        (1, 10**5000, "out-of-range: degree 1 below the supported floor "
+                      "2g-3 = <16611-bit integer>"),
+        (-(10**5000), 1,
+         "out-of-range: degree must be positive, got -<16610-bit integer>"),
+        (5, -(10**5000),
+         "out-of-range: genus must be nonnegative, got -<16610-bit integer>"),
+        (2 * 10**4300 - 3, 10**4300, "no-viable-embedding"),
+        (2 * 10**4300 - 2, 10**4300, "no-viable-embedding"),
+    ], ids=["d-below-floor", "d-negative", "g-negative", "lattice-2g-3",
+            "lattice-2g-2"])
+    def test_total_past_the_int_to_str_limit(self, d, g, reason):
+        certificate = certify(CicyType.QUINTIC, d, g)
+        assert not certificate.stated.accept
+        assert certificate.derived.reason == reason
+        for row in certificate.derived.rows:  # a lattice reason per row
+            assert row.route.lattice.reason == (
+                "d=<14286-bit integer> > max(2g-4, m+g) = <14286-bit integer>")
+        with pytest.raises(ValueError):  # the input member prints d and g
+            certificate.to_dict()
+
     def test_quintic_accept_end_to_end(self):
         certificate = certify(CicyType.QUINTIC, 6, 2)
         assert certificate.stated.accept and certificate.derived.accept

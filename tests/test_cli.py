@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 import rigidcurves
 from rigidcurves.certify import (
     ENUMERATION_GUARD,
+    Clause,
     CicyType,
     DerivedVerdict,
-    StatedVerdict,
+    _document,
+    _documents,
     certify,
     enumerate_region,
 )
@@ -247,34 +249,70 @@ class TestEnumerateCommand:
         assert [p for p, seen in types.items() if {bool, int} <= seen] == []
 
     def test_members_are_functions_of_their_records(self):
-        # The writer reuses a member's text while its record is equal, so
-        # certificates with equal records under a key must encode alike.
-        encoded, members = {}, 0
+        # The writer reuses the text at a path while the record there is
+        # equal (==) to the one it held, so equal records at a path must
+        # encode alike: NamedTuple == is tuple equality, and True == 1.
+        encoded, nodes, paths = {}, 0, set()
+
+        def walk(record, path, newline):
+            nonlocal nodes
+            inner = newline + "  "
+            for key, source, build in record.members():
+                if build is None:  # a scalar, encoded in place
+                    continue
+                at = f"{path}.{key}"
+                held = [(at, source, build, inner)]
+                if build is _documents:
+                    held += [(f"{at}[{i}]", item, _document, inner + "  ")
+                             for i, item in enumerate(source)]
+                for node, value, make, indent in held:
+                    text = _encode(make(value), indent)
+                    assert encoded.setdefault((node, value), text) == text
+                    nodes += 1
+                    paths.add(node)
+                    if make is _document and value is not None:
+                        walk(value, node, indent)
+
         for cicy in CicyType:
             for certificate in enumerate_region(cicy, 60, 25):
-                for key, source, build in certificate.members():
-                    text = _encode(build(source), "\n      ")
-                    assert encoded.setdefault((key, source), text) == text
-                    members += 1
-        assert len(encoded) < members // 2  # records do repeat
+                walk(certificate, "", "\n    ")
+        assert {".input", ".stated.clauses[6]", ".derived.chosen",
+                ".derived.rows[2].knutsen", ".derived.rows[0].route",
+                ".derived.chosen.route"} <= paths
+        assert len(encoded) < nodes // 4  # records do repeat
 
     def test_json_builds_a_member_only_when_its_record_changes(
             self, monkeypatch):
-        builds = {StatedVerdict: 0, DerivedVerdict: 0}
+        builds = {Clause: 0, DerivedVerdict: 0}
         for record in builds:
-            def counted(verdict, record=record, to_dict=record.to_dict):
+            def counted(self, record=record, members=record.members):
                 builds[record] += 1
-                return to_dict(verdict)
-            monkeypatch.setattr(record, "to_dict", counted)
+                return members(self)
+            monkeypatch.setattr(record, "members", counted)
+        details = 0
+
+        def counted_detail(clause, detail=Clause.detail.fget):
+            nonlocal details
+            details += 1
+            return detail(clause)
+        monkeypatch.setattr(Clause, "detail", property(counted_detail))
 
         code, _, _ = run_cli(["enumerate", "--type", "2,2,2,2", "--d-max",
                               "40", "--g-max", "8", "--format", "json"])
         assert code == 0
-        derived = [c.derived
-                   for c in enumerate_region(CicyType.FOUR_QUADRICS, 40, 8)]
+        certificates = list(enumerate_region(CicyType.FOUR_QUADRICS, 40, 8))
+        clauses = [c.stated.clauses for c in certificates]
+        derived = [c.derived for c in certificates]
+        # a clause is built where it differs from the clause at its
+        # position in the previous certificate
+        clause_changes = len(clauses[0]) + sum(
+            a != b for old, new in zip(clauses, clauses[1:])
+            for a, b in zip(old, new))
         changes = 1 + sum(a != b for a, b in zip(derived, derived[1:]))
+        assert clause_changes < len(certificates) * len(clauses[0]) // 2
         assert changes < len(derived) // 4
-        assert builds == {StatedVerdict: len(derived), DerivedVerdict: changes}
+        assert builds == {Clause: clause_changes, DerivedVerdict: changes}
+        assert details == clause_changes
 
 
 class Discard:

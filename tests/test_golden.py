@@ -160,6 +160,25 @@ GOLDEN = [
         0,
         "751dd4fdb5e510546ae58608abbb638829b37f1ed5752c56098fafa552d61a12",
     ),
+    (
+        ["enumerate", "--type", "5", "--d-max", "60", "--g-max", "20",
+         "--format", "json"],
+        0,
+        "8b57ba69c3ef3512119236db735983d11f51a30860d3dbafbebd886786b9ba09",
+    ),
+    (
+        # the exceptional-pair clause and the node-table-discrepancy warning
+        ["enumerate", "--type", "3,3", "--d-max", "60", "--g-max", "20",
+         "--format", "json"],
+        0,
+        "f02ef9137a7f7dd033c86a7983c9d39f80b79dd06691c14e650ac59d97007689",
+    ),
+    (
+        ["enumerate", "--type", "3,2,2", "--d-max", "60", "--g-max", "20",
+         "--format", "json"],
+        0,
+        "48c8349ce68c64a2dbc49f24136217c2323f44ce08cc12bd16d8e9ced71d85bc",
+    ),
 ]
 
 

@@ -139,16 +139,6 @@ def node_table() -> list[EmbeddingRow]:
     return list(_NODE_TABLE)
 
 
-# family -> (half-degree m, genus cap, forbidden pair, exceptional pair)
-_STATED_CASES = {
-    CicyType.QUINTIC: (2, 35, (5, 3), None),
-    CicyType.QUARTIC_QUADRIC: (2, 31, (5, 3), None),
-    CicyType.BICUBIC: (3, 31, (7, 4), (3, 1)),
-    CicyType.CUBIC_TWO_QUADRICS: (3, 15, (7, 4), (3, 1)),
-    CicyType.FOUR_QUADRICS: (4, 9, (9, 5), (4, 1)),
-}
-
-
 class Clause(NamedTuple):
     name: str
     holds: bool
@@ -181,6 +171,28 @@ class StatedVerdict(NamedTuple):
     to_dict = _document
 
 
+def _pair_clauses(name: str, template: str, pair: tuple[int, int] | None
+                  ) -> tuple[Clause, ...] | None:
+    """The clause ``name`` on ``pair``, indexed by ``holds``."""
+    return None if pair is None else tuple(
+        Clause(name, holds, template, (pair,)) for holds in (False, True))
+
+
+# family -> (half-degree m, genus cap, forbidden pair, exceptional pair), and
+# each pair's clauses, shared by every certificate of the family
+_STATED_CASES = {
+    cicy: (m, cap, forbidden, exceptional,
+           _pair_clauses("forbidden-pair-avoided", "(d,g) != %s", forbidden),
+           _pair_clauses("exceptional-pair", "(d,g)=%s", exceptional))
+    for cicy, (m, cap, forbidden, exceptional) in {
+        CicyType.QUINTIC: (2, 35, (5, 3), None),
+        CicyType.QUARTIC_QUADRIC: (2, 31, (5, 3), None),
+        CicyType.BICUBIC: (3, 31, (7, 4), (3, 1)),
+        CicyType.CUBIC_TWO_QUADRICS: (3, 15, (7, 4), (3, 1)),
+        CicyType.FOUR_QUADRICS: (4, 9, (9, 5), (4, 1)),
+    }.items()
+}
+
 # clause name -> (the ``holds`` value on which the clause decides, the
 # reason it then gives); the first clause that decides sets the reason.
 _CLAUSE_DECISIONS = {
@@ -192,30 +204,34 @@ _CLAUSE_DECISIONS = {
     "forbidden-pair-avoided": (False, "forbidden-pair"),
     "degree-dominates": (False, "degree-too-small"),
 }
+# the decisions in clause order, for a family without and with an
+# exceptional pair (without one, there is no exceptional-pair clause)
+_DECISIONS = (tuple(decision for name, decision in _CLAUSE_DECISIONS.items()
+                    if name != "exceptional-pair"),
+              tuple(_CLAUSE_DECISIONS.values()))
 
 
 def stated_conditions(cicy: CicyType, d: int, g: int) -> StatedVerdict:
     """Literal per-family case conditions, with every clause traced."""
-    m, genus_cap, forbidden, exceptional = _STATED_CASES[cicy]
+    m, genus_cap, forbidden, exceptional, avoided, is_exceptional = (
+        _STATED_CASES[cicy])
     clauses = (
         Clause("genus-nonnegative", g >= 0, "g=%s", (g,)),
         Clause("degree-range", d >= 2 * g - 3, "d=%s >= 2g-3=%s",
                (d, 2 * g - 3)),
     )
     if exceptional is not None:
-        clauses += (Clause("exceptional-pair", (d, g) == exceptional,
-                           "(d,g)=%s", (exceptional,)),)
+        clauses += (is_exceptional[(d, g) == exceptional],)
     clauses += (
         Clause("genus-degree-bound", 4 * m * g < d * d,
                "%s*g=%s < d^2=%s", (4 * m, 4 * m * g, d * d)),
         Clause("genus-cap", g < genus_cap, "g=%s < %s", (g, genus_cap)),
-        Clause("forbidden-pair-avoided", (d, g) != forbidden,
-               "(d,g) != %s", (forbidden,)),
+        avoided[(d, g) != forbidden],
         Clause("degree-dominates", d > 2 * g - 2 or d > g + m,
                "d > 2g-2=%s or d > g+%s=%s", (2 * g - 2, m, g + m)),
     )
-    for clause in clauses:
-        decides, reason = _CLAUSE_DECISIONS[clause.name]
+    for clause, (decides, reason) in zip(
+            clauses, _DECISIONS[exceptional is not None]):
         if clause.holds == decides:
             return StatedVerdict(reason, clauses)
     return StatedVerdict("accepted", clauses)
@@ -287,19 +303,6 @@ class DerivedVerdict(NamedTuple):
     to_dict = _document
 
 
-def _assess_row(row: EmbeddingRow, d: int, g: int) -> RowAssessment:
-    m = row.m
-    verdict = knutsen_exists(m, d, g)
-    margin_ok = row.nodes >= g + 2
-    route = nonspeciality_route(m, d, g)
-    failure = ("k3-existence" if not verdict.exists
-               else "node-margin" if not margin_ok
-               else "nonspeciality" if route.route is NonspecialityRoute.FAIL
-               else None)
-    count = rigid_count(row.nodes, g) if failure is None else None
-    return RowAssessment(row, verdict, margin_ok, route, count, failure)
-
-
 def derived_conditions(cicy: CicyType, d: int, g: int) -> DerivedVerdict:
     """Hypothesis chain through the node table: the linear system of genus-g
     curves has dimension ell = g, so an embedding row is viable when the
@@ -319,12 +322,24 @@ def derived_conditions(cicy: CicyType, d: int, g: int) -> DerivedVerdict:
     if out_of_range is not None:
         return DerivedVerdict(f"out-of-range: {out_of_range}", max(g, 0),
                               None, ())
-    rows = tuple(_assess_row(row, d, g) for row in _FAMILY_ROWS[cicy])
-    # max keeps the first of equal rows, in table order
-    chosen = max((a for a in rows if a.viable), key=lambda a: a.row.nodes,
-                 default=None)
+    rows, chosen = [], None
+    for row in _FAMILY_ROWS[cicy]:
+        m, n = row.m, row.nodes
+        verdict = knutsen_exists(m, d, g)
+        margin_ok = n >= g + 2
+        route = nonspeciality_route(m, d, g)
+        failure = ("k3-existence" if not verdict.exists
+                   else "node-margin" if not margin_ok
+                   else "nonspeciality"
+                   if route.route is NonspecialityRoute.FAIL else None)
+        count = rigid_count(n, g) if failure is None else None
+        rows.append(RowAssessment(row, verdict, margin_ok, route, count,
+                                  failure))
+        # a later row must have more nodes: the first of equal rows is kept
+        if failure is None and (chosen is None or n > chosen.row.nodes):
+            chosen = rows[-1]
     reason = "accepted" if chosen is not None else "no-viable-embedding"
-    return DerivedVerdict(reason, g, chosen, rows)
+    return DerivedVerdict(reason, g, chosen, tuple(rows))
 
 
 class _Input(NamedTuple):  # the "input" member of a certificate
@@ -353,13 +368,16 @@ class Certificate(NamedTuple):
 
     @property
     def warnings(self) -> tuple[str, ...]:
-        rows = self.derived.rows
+        extrapolated = discrepant = False
+        for a in self.derived.rows:
+            extrapolated |= a.knutsen.extrapolated
+            discrepant |= a.failure is None and a.row in _DISCREPANT_ROWS
         warnings = []
         if self.stated.accept != self.derived.accept:
             warnings.append(WARN_DISAGREEMENT)
-        if any(a.knutsen.extrapolated for a in rows):
+        if extrapolated:
             warnings.append(WARN_EXTRAPOLATED)
-        if any(a.viable and a.row in _DISCREPANT_ROWS for a in rows):
+        if discrepant:
             warnings.append(WARN_TABLE_DISCREPANCY)
         return tuple(warnings)
 
@@ -406,7 +424,7 @@ _TABLE_CHECKS = tuple(
     TableCheck(row, degeneracy_count(row.cicy.degrees, row.k3_degrees))
     for row in _NODE_TABLE
 )
-_DISCREPANT_ROWS = frozenset(c.row for c in _TABLE_CHECKS if not c.agree)
+_DISCREPANT_ROWS = tuple(c.row for c in _TABLE_CHECKS if not c.agree)
 
 
 def verify_node_table() -> list[TableCheck]:

@@ -114,7 +114,7 @@ def _member(slots: dict, at: object, source: object, build, newline: str
         text = "[" + inner + ("," + inner).join(parts) + newline + "]"
     elif build is _document and source is not None:
         for key, value, make in source.members():
-            parts.append(encode_basestring_ascii(key) + ": " + (
+            parts.append(_LABELS[key] + (
                 _SCALARS[type(value)](value) if make is None
                 else _member(nested, key, value, make, inner)))
         text = "{" + inner + ("," + inner).join(parts) + newline + "}"
@@ -124,20 +124,38 @@ def _member(slots: dict, at: object, source: object, build, newline: str
     return text
 
 
+def _labels(record) -> dict[str, str]:
+    """``"key": `` for each member key of ``record`` and of the records
+    under it.  The keys of a record depend on its class alone."""
+    labels = {}
+    for key, source, build in record.members():
+        labels[key] = encode_basestring_ascii(key) + ": "
+        for nested in ((source,) if build is _document
+                       else source if build is _documents else ()):
+            labels.update(_labels(nested))
+    return labels
+
+
+# every key that _member writes, encoded once: an accepted certificate holds
+# a record of each class that the writer builds from its members()
+_LABELS = _labels(certify(CicyType.QUINTIC, 6, 2))
+
+
 def _emit_rows(header: list[str], rows: Iterable[list[str]], fmt: str) -> None:
+    write = sys.stdout.write  # one call per line, its "\n" included
     if fmt == "csv":
-        print(",".join(header))
+        write(",".join(header) + "\n")
         for row in rows:
-            print(",".join(row))
+            write(",".join(row) + "\n")
     else:  # markdown
-        print("| " + " | ".join(header) + " |")
-        print("| " + " | ".join("---" for _ in header) + " |")
+        write("| " + " | ".join(header) + " |\n")
+        write("| " + " | ".join(["---"] * len(header)) + " |\n")
         for row in rows:
-            print("| " + " | ".join(row) + " |")
+            write("| " + " | ".join(row) + " |\n")
 
 
 def _dashed(degrees: Sequence[int]) -> str:
-    return "-".join(str(x) for x in degrees)
+    return "-".join(map(str, degrees))
 
 
 def run_certify(args: argparse.Namespace) -> int:
@@ -147,7 +165,7 @@ def run_certify(args: argparse.Namespace) -> int:
 
 
 def _certificate_row(certificate: Certificate) -> list[str]:
-    chosen = certificate.derived.chosen
+    chosen, count = certificate.derived.chosen, certificate.count
     return [
         str(certificate.d),
         str(certificate.g),
@@ -155,7 +173,7 @@ def _certificate_row(certificate: Certificate) -> list[str]:
         "accept" if certificate.derived.accept else "reject",
         _dashed(chosen.row.k3_degrees) if chosen else "",
         str(chosen.row.nodes) if chosen else "",
-        str(certificate.count) if certificate.count is not None else "",
+        str(count) if count is not None else "",
         ";".join(certificate.warnings),
     ]
 

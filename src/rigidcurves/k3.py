@@ -114,6 +114,16 @@ class KnutsenVerdict(NamedTuple):
         }
 
 
+# knutsen_exists returns one of these eight verdicts, built once and shared;
+# each pair is indexed by ``extrapolated``
+_EXCEPTIONAL, _BOUND_FAILED, _FORBIDDEN, _BOUND_HOLDS = (
+    tuple(KnutsenVerdict(exists, clause, flag) for flag in (False, True))
+    for exists, clause in ((True, "exceptional-pair"),
+                           (False, "genus-degree-bound-failed"),
+                           (False, "forbidden-pair"),
+                           (True, "genus-degree-bound")))
+
+
 def knutsen_exists(m: int, d: int, g: int) -> KnutsenVerdict:
     """Does some complete intersection K3 of degree 2m with rank-2 Picard
     group carry a smooth curve of degree d and genus g?
@@ -132,12 +142,12 @@ def knutsen_exists(m: int, d: int, g: int) -> KnutsenVerdict:
         raise ValueError(f"genus must be nonnegative, got {g}")
     extrapolated = d < 2 * g - 2
     if _EXCEPTIONAL_PAIRS.get(m) == (d, g):
-        return KnutsenVerdict(True, "exceptional-pair", extrapolated)
+        return _EXCEPTIONAL[extrapolated]
     if not 4 * m * g < d * d:
-        return KnutsenVerdict(False, "genus-degree-bound-failed", extrapolated)
+        return _BOUND_FAILED[extrapolated]
     if (d, g) == (2 * m + 1, m + 1):
-        return KnutsenVerdict(False, "forbidden-pair", extrapolated)
-    return KnutsenVerdict(True, "genus-degree-bound", extrapolated)
+        return _FORBIDDEN[extrapolated]
+    return _BOUND_HOLDS[extrapolated]
 
 
 def _shown(n: int) -> str:  # so that a stored reason never raises
@@ -223,6 +233,9 @@ class RouteResult(NamedTuple):
         }
 
 
+_RIEMANN_ROCH = RouteResult(None)  # built once: this route holds no lattice
+
+
 def nonspeciality_route(m: int, d: int, g: int) -> RouteResult:
     """Pick the argument forcing H^1(C, O_C(1)) = 0, or report failure.
 
@@ -233,5 +246,5 @@ def nonspeciality_route(m: int, d: int, g: int) -> RouteResult:
         raise DegreeRangeError(
             f"degree {d} below the supported floor 2g-3 = {2 * g - 3}"
         )
-    return RouteResult(None if d >= 2 * g - 1
-                       else lattice_nonspecial(m, d, g))
+    return (_RIEMANN_ROCH if d >= 2 * g - 1
+            else RouteResult(lattice_nonspecial(m, d, g)))

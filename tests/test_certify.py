@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from rigidcurves.certify import (
     CicyType,
+    Clause,
     EmbeddingRow,
     WARN_DISAGREEMENT,
     WARN_EXTRAPOLATED,
@@ -19,7 +20,12 @@ from rigidcurves.certify import (
 )
 from rigidcurves.chern import ExcessProblem, excess_count, rigid_count
 from rigidcurves.cli import _certificate_row
-from rigidcurves.k3 import DegreeRangeError, NonspecialityRoute
+from rigidcurves.k3 import (
+    DegreeRangeError,
+    KnutsenVerdict,
+    NonspecialityRoute,
+    RouteResult,
+)
 
 EXPECTED_TABLE = [
     ((5,), (4, 1), 16),
@@ -33,6 +39,19 @@ EXPECTED_TABLE = [
     ((3, 2, 2), (2, 2, 2, 1), 16),
     ((2, 2, 2, 2), (2, 2, 2, 1, 1), 8),
 ]
+
+FORBIDDEN_PAIRS = {
+    CicyType.QUINTIC: (5, 3),
+    CicyType.QUARTIC_QUADRIC: (5, 3),
+    CicyType.BICUBIC: (7, 4),
+    CicyType.CUBIC_TWO_QUADRICS: (7, 4),
+    CicyType.FOUR_QUADRICS: (9, 5),
+}
+EXCEPTIONAL_PAIRS = {
+    CicyType.BICUBIC: (3, 1),
+    CicyType.CUBIC_TWO_QUADRICS: (3, 1),
+    CicyType.FOUR_QUADRICS: (4, 1),
+}
 
 
 def floor_edges(test):
@@ -125,29 +144,13 @@ class TestStatedConditions:
         verdict = stated_conditions(CicyType.QUINTIC, d, g)
         assert not verdict.accept and verdict.reason == reason
 
-    @pytest.mark.parametrize(
-        "cicy, pair",
-        [
-            (CicyType.QUINTIC, (5, 3)),
-            (CicyType.QUARTIC_QUADRIC, (5, 3)),
-            (CicyType.BICUBIC, (7, 4)),
-            (CicyType.CUBIC_TWO_QUADRICS, (7, 4)),
-            (CicyType.FOUR_QUADRICS, (9, 5)),
-        ],
-    )
+    @pytest.mark.parametrize("cicy, pair", FORBIDDEN_PAIRS.items())
     def test_forbidden_pairs_all_families(self, cicy, pair):
         d, g = pair
         verdict = stated_conditions(cicy, d, g)
         assert not verdict.accept and verdict.reason == "forbidden-pair"
 
-    @pytest.mark.parametrize(
-        "cicy, pair",
-        [
-            (CicyType.BICUBIC, (3, 1)),
-            (CicyType.CUBIC_TWO_QUADRICS, (3, 1)),
-            (CicyType.FOUR_QUADRICS, (4, 1)),
-        ],
-    )
+    @pytest.mark.parametrize("cicy, pair", EXCEPTIONAL_PAIRS.items())
     def test_exceptional_pairs_all_families(self, cicy, pair):
         d, g = pair
         assert stated_conditions(cicy, d, g).accept
@@ -299,6 +302,23 @@ class TestCertify:
         assert certificate.count == 4060  # C(30, 3)
         assert WARN_TABLE_DISCREPANCY in certificate.warnings
 
+    def test_warnings_keep_their_order(self):
+        # (13, 8) on (3,3): d = 2g - 3 and the discrepant (2,2,2) row is
+        # chosen; the forbidden pair's stated verdict makes the modes differ
+        certificate = certify(CicyType.BICUBIC, 13, 8)._replace(
+            stated=stated_conditions(CicyType.BICUBIC, 7, 4))
+        assert certificate.derived.chosen.row.k3_degrees == (2, 2, 2)
+        assert certificate.warnings == (
+            WARN_DISAGREEMENT, WARN_EXTRAPOLATED, WARN_TABLE_DISCREPANCY)
+
+    def test_discrepant_row_warned_only_when_viable(self):
+        # at (9, 5) the forbidden pair of m = 4 rules the (2,2,2) row out
+        certificate = certify(CicyType.BICUBIC, 9, 5)
+        by_k3 = {a.row.k3_degrees: a for a in certificate.derived.rows}
+        assert by_k3[(2, 2, 2)].failure == "k3-existence"
+        assert by_k3[(3, 2, 1)].viable
+        assert certificate.warnings == ()
+
     def test_gate_error_becomes_rejection(self):
         for d in (1, 6):  # below the floor 2g - 3 = 7; 6 is just below
             certificate = certify(CicyType.QUINTIC, d, 5)
@@ -347,6 +367,50 @@ class TestCertify:
                     assert chosen.knutsen.exists
                     assert chosen.row.nodes >= certificate.g + 2
                     assert chosen.route.route is not NonspecialityRoute.FAIL
+
+
+class TestSharedRecords:
+    def test_sweep_builds_no_fixed_record(self, monkeypatch):
+        # Knutsen verdicts, the Riemann-Roch route and the pair clauses take
+        # a few fixed values, built at import; a sweep builds none of them,
+        # and each one it returns equals a fresh record for its point
+        built = []
+        for cls in (KnutsenVerdict, RouteResult, Clause):
+            def new(klass, *args, _new=cls.__new__, **kwargs):
+                built.append(_new(klass, *args, **kwargs))
+                return built[-1]
+            monkeypatch.setattr(cls, "__new__", staticmethod(new))
+        certificates = [certificate for cicy in CicyType
+                        for certificate in enumerate_region(cicy, 40, 8)]
+        monkeypatch.undo()
+        pair_clauses = ("forbidden-pair-avoided", "exceptional-pair")
+        assert [record for record in built
+                if type(record) is KnutsenVerdict
+                or type(record) is RouteResult and record.lattice is None
+                or type(record) is Clause and record.name in pair_clauses
+                ] == []
+        # the count sees what is still built per call
+        assert {type(record) for record in built} == {RouteResult, Clause}
+        exists = {"exceptional-pair": True, "genus-degree-bound": True,
+                  "genus-degree-bound-failed": False, "forbidden-pair": False}
+        for certificate in certificates:
+            cicy, d, g = certificate.cicy, certificate.d, certificate.g
+            for a in certificate.derived.rows:
+                clause = a.knutsen.clause
+                assert a.knutsen == KnutsenVerdict(exists[clause], clause,
+                                                   d < 2 * g - 2)
+                if d >= 2 * g - 1:
+                    assert a.route == RouteResult(None)
+            clauses = {c.name: c for c in certificate.stated.clauses}
+            forbidden = FORBIDDEN_PAIRS[cicy]
+            assert clauses["forbidden-pair-avoided"] == Clause(
+                "forbidden-pair-avoided", (d, g) != forbidden, "(d,g) != %s",
+                (forbidden,))
+            if cicy in EXCEPTIONAL_PAIRS:
+                exceptional = EXCEPTIONAL_PAIRS[cicy]
+                assert clauses["exceptional-pair"] == Clause(
+                    "exceptional-pair", (d, g) == exceptional, "(d,g)=%s",
+                    (exceptional,))
 
 
 class TestVerifyNodeTable:

@@ -231,7 +231,7 @@ def stated_conditions(cicy: CicyType, d: int, g: int) -> StatedVerdict:
                "d > 2g-2=%s or d > g+%s=%s", (2 * g - 2, m, g + m)),
     )
     for clause, (decides, reason) in zip(
-            clauses, _DECISIONS[exceptional is not None]):
+            clauses, _DECISIONS[exceptional is not None], strict=True):
         if clause.holds == decides:
             return StatedVerdict(reason, clauses)
     return StatedVerdict("accepted", clauses)
@@ -332,11 +332,12 @@ def derived_conditions(cicy: CicyType, d: int, g: int) -> DerivedVerdict:
                    else "node-margin" if not margin_ok
                    else "nonspeciality"
                    if route.route is NonspecialityRoute.FAIL else None)
-        count = rigid_count(n, g) if failure is None else None
+        viable = failure is None
+        count = rigid_count(n, g) if viable else None
         rows.append(RowAssessment(row, verdict, margin_ok, route, count,
                                   failure))
         # a later row must have more nodes: the first of equal rows is kept
-        if failure is None and (chosen is None or n > chosen.row.nodes):
+        if viable and (chosen is None or n > chosen.row.nodes):
             chosen = rows[-1]
     reason = "accepted" if chosen is not None else "no-viable-embedding"
     return DerivedVerdict(reason, g, chosen, tuple(rows))
@@ -371,7 +372,7 @@ class Certificate(NamedTuple):
         extrapolated = discrepant = False
         for a in self.derived.rows:
             extrapolated |= a.knutsen.extrapolated
-            discrepant |= a.failure is None and a.row in _DISCREPANT_ROWS
+            discrepant |= a.viable and a.row in _DISCREPANT_ROWS
         warnings = []
         if self.stated.accept != self.derived.accept:
             warnings.append(WARN_DISAGREEMENT)

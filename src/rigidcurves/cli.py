@@ -98,6 +98,11 @@ def _encode(value: object, newline: str = "\n") -> str:
     raise TypeError(f"cannot encode {kind.__name__} as JSON")
 
 
+# '"key": ' for each member key that _member has written, encoded once; the
+# keys of a record depend on its class alone, so this holds a fixed set
+_LABELS: dict[str, str] = {}
+
+
 def _member(slots: dict, at: object, source: object, build, newline: str
             ) -> str:
     """``_encode(build(source), newline)``, kept in slot ``at`` with
@@ -114,7 +119,9 @@ def _member(slots: dict, at: object, source: object, build, newline: str
         text = "[" + inner + ("," + inner).join(parts) + newline + "]"
     elif build is _document and source is not None:
         for key, value, make in source.members():
-            parts.append(_LABELS[key] + (
+            label = _LABELS.get(key) or _LABELS.setdefault(
+                key, encode_basestring_ascii(key) + ": ")
+            parts.append(label + (
                 _SCALARS[type(value)](value) if make is None
                 else _member(nested, key, value, make, inner)))
         text = "{" + inner + ("," + inner).join(parts) + newline + "}"
@@ -122,23 +129,6 @@ def _member(slots: dict, at: object, source: object, build, newline: str
         text = _encode(build(source), newline)
     slots[at] = (source, text, nested)
     return text
-
-
-def _labels(record) -> dict[str, str]:
-    """``"key": `` for each member key of ``record`` and of the records
-    under it.  The keys of a record depend on its class alone."""
-    labels = {}
-    for key, source, build in record.members():
-        labels[key] = encode_basestring_ascii(key) + ": "
-        for nested in ((source,) if build is _document
-                       else source if build is _documents else ()):
-            labels.update(_labels(nested))
-    return labels
-
-
-# every key that _member writes, encoded once: an accepted certificate holds
-# a record of each class that the writer builds from its members()
-_LABELS = _labels(certify(CicyType.QUINTIC, 6, 2))
 
 
 def _emit_rows(header: list[str], rows: Iterable[list[str]], fmt: str) -> None:

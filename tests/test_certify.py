@@ -11,6 +11,8 @@ from rigidcurves.certify import (
     WARN_DISAGREEMENT,
     WARN_EXTRAPOLATED,
     WARN_TABLE_DISCREPANCY,
+    _CLAUSE_DECISIONS,
+    _DECISIONS,
     certify,
     derived_conditions,
     enumerate_region,
@@ -154,6 +156,13 @@ class TestStatedConditions:
     def test_exceptional_pairs_all_families(self, cicy, pair):
         d, g = pair
         assert stated_conditions(cicy, d, g).accept
+
+    @pytest.mark.parametrize("cicy", list(CicyType))
+    def test_clauses_meet_their_decisions(self, cicy):
+        # stated_conditions pairs clauses with _DECISIONS by position
+        clauses = stated_conditions(cicy, 20, 5).clauses
+        decisions = _DECISIONS[cicy in EXCEPTIONAL_PAIRS]
+        assert [_CLAUSE_DECISIONS[c.name] for c in clauses] == list(decisions)
 
 
 class TestDerivedConditions:

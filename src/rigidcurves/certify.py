@@ -27,6 +27,7 @@ from .k3 import (
     RouteResult,
     knutsen_exists,
     nonspeciality_route,
+    _document,
     _shown,
 )
 
@@ -35,20 +36,6 @@ ENUMERATION_GUARD = 10_000
 WARN_DISAGREEMENT = "stated-derived-disagreement"
 WARN_EXTRAPOLATED = "knutsen-extrapolated"
 WARN_TABLE_DISCREPANCY = "node-table-discrepancy"
-
-
-# A record's JSON shape has one definition, its ``members()``: ``(key,
-# source, build)`` per member, in key order.  The member is ``source`` where
-# ``build`` is None (a scalar), else ``build(source)``, a pure function of
-# it; ``_document`` builds a nested record (or None), ``_documents`` a list.
-def _document(record) -> dict | None:
-    return None if record is None else {
-        key: source if build is None else build(source)
-        for key, source, build in record.members()}
-
-
-def _documents(records) -> list[dict]:
-    return [_document(record) for record in records]
 
 
 class CicyType(Enum):
@@ -60,12 +47,15 @@ class CicyType(Enum):
     CUBIC_TWO_QUADRICS = (3, 2, 2)
     FOUR_QUADRICS = (2, 2, 2, 2)
 
+    def __init__(self, *degrees: int) -> None:
+        self._type_string = ",".join(map(str, degrees))  # once per member
+
     @property
     def degrees(self) -> tuple[int, ...]:
-        return self.value
+        return self._value_
 
     def type_string(self) -> str:
-        return ",".join(str(b) for b in self.degrees)
+        return self._type_string
 
     @classmethod
     def from_string(cls, text: str) -> "CicyType":
@@ -110,9 +100,8 @@ class EmbeddingRow(_RowFields):
         return math.prod(self.k3_degrees) // 2
 
     def members(self) -> tuple:
-        return (("cicy", self.cicy.degrees, list),
-                ("k3", self.k3_degrees, list),
-                ("n", self.nodes, None), ("m", self.m, None))
+        return (("cicy", self.cicy.degrees), ("k3", self.k3_degrees),
+                ("n", self.nodes), ("m", self.m))
 
     to_dict = _document
 
@@ -150,8 +139,8 @@ class Clause(NamedTuple):
         return self.template % self.values
 
     def members(self) -> tuple:
-        return (("name", self.name, None), ("holds", self.holds, None),
-                ("detail", self.detail, None))
+        return (("name", self.name), ("holds", self.holds),
+                ("detail", self.detail))
 
     to_dict = _document
 
@@ -165,8 +154,8 @@ class StatedVerdict(NamedTuple):
         return self.reason in ("accepted", "exceptional-pair")
 
     def members(self) -> tuple:
-        return (("accept", self.accept, None), ("reason", self.reason, None),
-                ("clauses", self.clauses, _documents))
+        return (("accept", self.accept), ("reason", self.reason),
+                ("clauses", self.clauses))
 
     to_dict = _document
 
@@ -257,11 +246,9 @@ class RowAssessment(NamedTuple):
 
     def members(self) -> tuple:
         return self.row.members() + (
-            ("knutsen", self.knutsen, KnutsenVerdict.to_dict),
-            ("node_margin_ok", self.node_margin_ok, None),
-            ("route", self.route, RouteResult.to_dict),
-            ("viable", self.viable, None), ("count", self.count, _decimal),
-            ("failure", self.failure, None))
+            ("knutsen", self.knutsen), ("node_margin_ok", self.node_margin_ok),
+            ("route", self.route), ("viable", self.viable),
+            ("count", _decimal(self.count)), ("failure", self.failure))
 
     to_dict = _document
 
@@ -295,10 +282,9 @@ class DerivedVerdict(NamedTuple):
         return self.chosen.count if self.chosen is not None else None
 
     def members(self) -> tuple:
-        return (("accept", self.accept, None), ("reason", self.reason, None),
-                ("ell", self.ell, None), ("chosen", self.chosen, _document),
-                ("rows", self.rows, _documents),
-                ("assumed_by_citation", self.assumed, list))
+        return (("accept", self.accept), ("reason", self.reason),
+                ("ell", self.ell), ("chosen", self.chosen), ("rows", self.rows),
+                ("assumed_by_citation", self.assumed))
 
     to_dict = _document
 
@@ -349,9 +335,8 @@ class _Input(NamedTuple):  # the "input" member of a certificate
     g: int
 
     def members(self) -> tuple:
-        return (("type", self.cicy, CicyType.type_string),
-                ("degrees", self.cicy.degrees, list),
-                ("d", self.d, None), ("g", self.g, None))
+        return (("type", self.cicy.type_string()),
+                ("degrees", self.cicy.degrees), ("d", self.d), ("g", self.g))
 
 
 class Certificate(NamedTuple):
@@ -384,11 +369,9 @@ class Certificate(NamedTuple):
 
     def members(self) -> tuple:
         """The members of ``to_dict()``, as ``_document`` reads them."""
-        return (("input", _Input(self.cicy, self.d, self.g), _document),
-                ("stated", self.stated, _document),
-                ("derived", self.derived, _document),
-                ("count", self.count, _decimal),
-                ("warnings", self.warnings, list))
+        return (("input", _Input(self.cicy, self.d, self.g)),
+                ("stated", self.stated), ("derived", self.derived),
+                ("count", _decimal(self.count)), ("warnings", self.warnings))
 
     to_dict = _document
 
@@ -411,12 +394,11 @@ class TableCheck(NamedTuple):
     def agree(self) -> bool:
         return self.computed == self.row.nodes
 
-    def to_dict(self) -> dict:
-        return {
-            **self.row.to_dict(),
-            "computed_n": self.computed,
-            "agree": self.agree,
-        }
+    def members(self) -> tuple:
+        return self.row.members() + (("computed_n", self.computed),
+                                     ("agree", self.agree))
+
+    to_dict = _document
 
 
 # The Porteous count depends only on the fixed table, so every row is checked

@@ -20,6 +20,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, NamedTuple, Sequence
 
+from .k3 import _shown
 from .series import TruncatedSeries, binomial_series, mul
 
 
@@ -115,9 +116,10 @@ class ExcessProblem(_ExcessFields):
 
     def __new__(cls, n: int, ell: int) -> "ExcessProblem":
         if ell < 0:
-            raise ValueError(f"ell must be nonnegative, got {ell}")
+            raise ValueError(f"ell must be nonnegative, got {_shown(ell)}")
         if n < ell + 2:
-            raise HypothesisError(f"need n >= ell + 2, got n={n}, ell={ell}")
+            raise HypothesisError(
+                f"need n >= ell + 2, got n={_shown(n)}, ell={_shown(ell)}")
         return super().__new__(cls, n, ell)
 
 

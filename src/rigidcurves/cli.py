@@ -21,8 +21,6 @@ from .certify import (
     ENUMERATION_GUARD,
     Certificate,
     CicyType,
-    _document,
-    _documents,
     certify,
     enumerate_region,
     verify_node_table,
@@ -69,9 +67,8 @@ def _encode(value: object, newline: str = "\n") -> str:
     ``dict`` (``str`` keys), ``list``, ``str``, ``int``, ``bool`` and ``None``.
 
     ``newline`` is the line break and indentation of the line ``value``
-    starts on.  A scalar item is encoded in place, by ``_SCALARS``.  Any
-    other type raises ``TypeError``: floats, non-``str`` keys, and
-    subclasses of ``str`` or ``int``.
+    starts on.  Any other type raises ``TypeError``: floats, non-``str``
+    keys, and subclasses of ``str`` or ``int``.
     """
     kind = type(value)
     scalar = _SCALARS.get(kind)
@@ -85,15 +82,13 @@ def _encode(value: object, newline: str = "\n") -> str:
         for key, item in value.items():
             if type(key) is not str:
                 raise TypeError(f"cannot encode {type(key).__name__} key")
-            scalar = _SCALARS.get(type(item))
-            parts.append(encode_basestring_ascii(key) + ": " + (
-                scalar(item) if scalar else _encode(item, inner)))
+            parts.append(encode_basestring_ascii(key) + ": "
+                         + _encode(item, inner))
         return "{" + inner + ("," + inner).join(parts) + newline + "}"
     if kind is list:
         if not value:
             return "[]"
-        parts = [scalar(item) if (scalar := _SCALARS.get(type(item)))
-                 else _encode(item, inner) for item in value]
+        parts = [_encode(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(parts) + newline + "]"
     raise TypeError(f"cannot encode {kind.__name__} as JSON")
 
@@ -103,31 +98,32 @@ def _encode(value: object, newline: str = "\n") -> str:
 _LABELS: dict[str, str] = {}
 
 
-def _member(slots: dict, at: object, source: object, build, newline: str
-            ) -> str:
-    """``_encode(build(source), newline)``, kept in slot ``at`` with
-    ``source`` and the slots under it, and reused while ``source`` equals
-    (``==``) the one there.  A record is built from its ``members()``, each
-    in a slot of its own, so only the records that changed are encoded."""
+def _member(slots: dict, at: object, value: object, newline: str) -> str:
+    """``_encode(_document(value), newline)`` for a record or a tuple, kept
+    in slot ``at`` with ``value`` and the slots under it, and reused while
+    ``value`` equals (``==``) the one there.  A scalar member or item is
+    encoded in place; any other has a slot of its own, so only the records
+    that changed are encoded."""
     held = slots.get(at)
-    if held is not None and held[0] == source:
+    if held is not None and held[0] == value:
         return held[1]
     nested, inner, parts = {} if held is None else held[2], newline + "  ", []
-    if build is _documents and source:
-        for i, item in enumerate(source):
-            parts.append(_member(nested, i, item, _document, inner))
-        text = "[" + inner + ("," + inner).join(parts) + newline + "]"
-    elif build is _document and source is not None:
-        for key, value, make in source.members():
+    if type(value) is tuple:
+        for i, item in enumerate(value):
+            scalar = _SCALARS.get(type(item))
+            parts.append(scalar(item) if scalar
+                         else _member(nested, i, item, inner))
+        text = ("[" + inner + ("," + inner).join(parts) + newline + "]"
+                if parts else "[]")
+    else:
+        for key, item in value.members():
             label = _LABELS.get(key) or _LABELS.setdefault(
                 key, encode_basestring_ascii(key) + ": ")
-            parts.append(label + (
-                _SCALARS[type(value)](value) if make is None
-                else _member(nested, key, value, make, inner)))
+            scalar = _SCALARS.get(type(item))
+            parts.append(label + (scalar(item) if scalar
+                                  else _member(nested, key, item, inner)))
         text = "{" + inner + ("," + inner).join(parts) + newline + "}"
-    else:
-        text = _encode(build(source), newline)
-    slots[at] = (source, text, nested)
+    slots[at] = (value, text, nested)
     return text
 
 
@@ -185,8 +181,7 @@ def run_enumerate(args: argparse.Namespace) -> int:
         # consecutive certificates mostly share their records
         separator, slots = "\n    ", {}
         for certificate in certificates:
-            write(separator + _member(slots, None, certificate, _document,
-                                      "\n    "))
+            write(separator + _member(slots, None, certificate, "\n    "))
             separator = ",\n    "
         write("]\n}\n" if separator == "\n    " else "\n  ]\n}\n")
     else:

@@ -16,6 +16,17 @@ from enum import Enum
 from typing import NamedTuple
 
 
+# A reporting record's JSON shape has one definition, its ``members()``:
+# ``(key, value)`` pairs in key order, each value a scalar (``str``, ``int``,
+# ``bool``, None), a record, or a tuple of these, written as a list.
+def _document(value: object) -> object:
+    if type(value) is tuple:
+        return [_document(item) for item in value]
+    if isinstance(value, tuple):  # a record: every one is a NamedTuple
+        return {key: _document(item) for key, item in value.members()}
+    return value
+
+
 class UnsupportedPolarizationError(ValueError):
     """Half-degree m outside the complete-intersection range {2, 3, 4}."""
 
@@ -106,12 +117,11 @@ class KnutsenVerdict(NamedTuple):
     clause: str
     extrapolated: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "exists": self.exists,
-            "clause": self.clause,
-            "extrapolated": self.extrapolated,
-        }
+    def members(self) -> tuple:
+        return (("exists", self.exists), ("clause", self.clause),
+                ("extrapolated", self.extrapolated))
+
+    to_dict = _document
 
 
 # knutsen_exists returns one of these eight verdicts, built once and shared;
@@ -134,12 +144,12 @@ def knutsen_exists(m: int, d: int, g: int) -> KnutsenVerdict:
     """
     if m not in (2, 3, 4):
         raise UnsupportedPolarizationError(
-            f"half-degree m must be 2, 3 or 4, got {m}"
+            f"half-degree m must be 2, 3 or 4, got {_shown(m)}"
         )
     if d < 1:
-        raise ValueError(f"degree must be positive, got {d}")
+        raise ValueError(f"degree must be positive, got {_shown(d)}")
     if g < 0:
-        raise ValueError(f"genus must be nonnegative, got {g}")
+        raise ValueError(f"genus must be nonnegative, got {_shown(g)}")
     extrapolated = d < 2 * g - 2
     if _EXCEPTIONAL_PAIRS.get(m) == (d, g):
         return _EXCEPTIONAL[extrapolated]
@@ -150,7 +160,7 @@ def knutsen_exists(m: int, d: int, g: int) -> KnutsenVerdict:
     return _BOUND_HOLDS[extrapolated]
 
 
-def _shown(n: int) -> str:  # so that a stored reason never raises
+def _shown(n: int) -> str:  # so that a reason or message never raises
     """``str(n)``, or past the int-to-str limit its sign and bit length."""
     try:
         return str(n)
@@ -174,12 +184,11 @@ class NonspecialVerdict(NamedTuple):
     reason: str
     assumed = _CITED_LATTICE_HYPOTHESES  # a class constant, not a field
 
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status.value,
-            "reason": self.reason,
-            "assumed_by_citation": list(self.assumed),
-        }
+    def members(self) -> tuple:
+        return (("status", self.status.value), ("reason", self.reason),
+                ("assumed_by_citation", self.assumed))
+
+    to_dict = _document
 
 
 def lattice_nonspecial(m: int, d: int, g: int) -> NonspecialVerdict:
@@ -224,13 +233,14 @@ class RouteResult(NamedTuple):
             return NonspecialityRoute.LATTICE_BOUND
         return NonspecialityRoute.FAIL
 
-    def to_dict(self) -> dict:
-        return {
-            "route": self.route.value,
-            "riemann_roch_applies":
-                self.route is NonspecialityRoute.RIEMANN_ROCH,
-            "lattice": self.lattice.to_dict() if self.lattice else None,
-        }
+    def members(self) -> tuple:
+        route = self.route
+        return (("route", route.value),
+                ("riemann_roch_applies",
+                 route is NonspecialityRoute.RIEMANN_ROCH),
+                ("lattice", self.lattice))
+
+    to_dict = _document
 
 
 _RIEMANN_ROCH = RouteResult(None)  # built once: this route holds no lattice
@@ -244,7 +254,8 @@ def nonspeciality_route(m: int, d: int, g: int) -> RouteResult:
     """
     if d < 2 * g - 3:
         raise DegreeRangeError(
-            f"degree {d} below the supported floor 2g-3 = {2 * g - 3}"
+            f"degree {_shown(d)} below the supported floor 2g-3 = "
+            f"{_shown(2 * g - 3)}"
         )
     return (_RIEMANN_ROCH if d >= 2 * g - 1
             else RouteResult(lattice_nonspecial(m, d, g)))

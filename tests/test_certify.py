@@ -20,13 +20,21 @@ from rigidcurves.certify import (
     stated_conditions,
     verify_node_table,
 )
-from rigidcurves.chern import ExcessProblem, excess_count, rigid_count
+from rigidcurves.chern import (
+    ExcessProblem,
+    HypothesisError,
+    excess_count,
+    rigid_count,
+)
 from rigidcurves.cli import _certificate_row
 from rigidcurves.k3 import (
     DegreeRangeError,
     KnutsenVerdict,
     NonspecialityRoute,
     RouteResult,
+    UnsupportedPolarizationError,
+    knutsen_exists,
+    nonspeciality_route,
 )
 
 EXPECTED_TABLE = [
@@ -279,6 +287,18 @@ class TestCertify:
                 "d=<14286-bit integer> > max(2g-4, m+g) = <14286-bit integer>")
         with pytest.raises(ValueError):  # the input member prints d and g
             certificate.to_dict()
+
+    # each raised a plain ValueError at the int-to-str limit while its own
+    # message printed the number
+    @pytest.mark.parametrize("call, args, error", [
+        (nonspeciality_route, (2, 1, 10**5000), DegreeRangeError),
+        (knutsen_exists, (10**5000, 1, 1), UnsupportedPolarizationError),
+        (ExcessProblem, (1, 10**5000), HypothesisError),
+        (rigid_count, (1, 10**5000), HypothesisError),
+    ], ids=["route-floor", "knutsen-m", "excess-problem", "rigid-count"])
+    def test_errors_keep_their_class_past_the_limit(self, call, args, error):
+        with pytest.raises(error, match="-bit integer>"):
+            call(*args)
 
     def test_quintic_accept_end_to_end(self):
         certificate = certify(CicyType.QUINTIC, 6, 2)

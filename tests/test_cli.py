@@ -20,7 +20,6 @@ from rigidcurves.certify import (
     CicyType,
     DerivedVerdict,
     _document,
-    _documents,
     certify,
     enumerate_region,
 )
@@ -253,25 +252,27 @@ class TestEnumerateCommand:
         # equal (==) to the one it held, so equal records at a path must
         # encode alike: NamedTuple == is tuple equality, and True == 1.
         encoded, nodes, paths = {}, 0, set()
+        scalars = (str, int, bool, type(None))  # encoded in place
 
         def walk(record, path, newline):
             nonlocal nodes
             inner = newline + "  "
-            for key, source, build in record.members():
-                if build is None:  # a scalar, encoded in place
+            for key, value in record.members():
+                if type(value) in scalars:
                     continue
                 at = f"{path}.{key}"
-                held = [(at, source, build, inner)]
-                if build is _documents:
-                    held += [(f"{at}[{i}]", item, _document, inner + "  ")
-                             for i, item in enumerate(source)]
-                for node, value, make, indent in held:
-                    text = _encode(make(value), indent)
-                    assert encoded.setdefault((node, value), text) == text
+                held = [(at, value, inner)]
+                if type(value) is tuple:
+                    held += [(f"{at}[{i}]", item, inner + "  ")
+                             for i, item in enumerate(value)
+                             if type(item) not in scalars]
+                for node, item, indent in held:
+                    text = _encode(_document(item), indent)
+                    assert encoded.setdefault((node, item), text) == text
                     nodes += 1
                     paths.add(node)
-                    if make is _document and value is not None:
-                        walk(value, node, indent)
+                    if type(item) is not tuple:
+                        walk(item, node, indent)
 
         for cicy in CicyType:
             for certificate in enumerate_region(cicy, 60, 25):
@@ -313,6 +314,24 @@ class TestEnumerateCommand:
         assert changes < len(derived) // 4
         assert builds == {Clause: clause_changes, DerivedVerdict: changes}
         assert details == clause_changes
+
+    def test_json_builds_no_dict(self, monkeypatch):
+        # the streamed writer reads members() alone: no record's to_dict()
+        expected = json.dumps({
+            "input": {"type": "2,2,2,2", "d_max": 40, "g_max": 8},
+            "certificates": [c.to_dict() for c in enumerate_region(
+                CicyType.FOUR_QUADRICS, 40, 8)],
+        }, indent=2) + "\n"
+        for name in ("Certificate", "StatedVerdict", "Clause",
+                     "DerivedVerdict", "RowAssessment", "EmbeddingRow",
+                     "KnutsenVerdict", "RouteResult", "NonspecialVerdict"):
+            def refuse(self, name=name):
+                raise AssertionError(f"{name}.to_dict called")
+            monkeypatch.setattr(getattr(rigidcurves, name), "to_dict", refuse)
+        code, out, _ = run_cli(["enumerate", "--type", "2,2,2,2", "--d-max",
+                                "40", "--g-max", "8", "--format", "json"])
+        assert code == 0
+        assert out == expected
 
 
 class Discard:

@@ -202,28 +202,7 @@ _DECISIONS = (tuple(decision for name, decision in _CLAUSE_DECISIONS.items()
 
 def stated_conditions(cicy: CicyType, d: int, g: int) -> StatedVerdict:
     """Literal per-family case conditions, with every clause traced."""
-    m, genus_cap, forbidden, exceptional, avoided, is_exceptional = (
-        _STATED_CASES[cicy])
-    clauses = (
-        Clause("genus-nonnegative", g >= 0, "g=%s", (g,)),
-        Clause("degree-range", d >= 2 * g - 3, "d=%s >= 2g-3=%s",
-               (d, 2 * g - 3)),
-    )
-    if exceptional is not None:
-        clauses += (is_exceptional[(d, g) == exceptional],)
-    clauses += (
-        Clause("genus-degree-bound", 4 * m * g < d * d,
-               "%s*g=%s < d^2=%s", (4 * m, 4 * m * g, d * d)),
-        Clause("genus-cap", g < genus_cap, "g=%s < %s", (g, genus_cap)),
-        avoided[(d, g) != forbidden],
-        Clause("degree-dominates", d > 2 * g - 2 or d > g + m,
-               "d > 2g-2=%s or d > g+%s=%s", (2 * g - 2, m, g + m)),
-    )
-    for clause, (decides, reason) in zip(
-            clauses, _DECISIONS[exceptional is not None], strict=True):
-        if clause.holds == decides:
-            return StatedVerdict(reason, clauses)
-    return StatedVerdict("accepted", clauses)
+    return _Column(cicy, g).stated(d)
 
 
 def _decimal(count: int | None) -> str | None:  # counts go out as strings
@@ -299,34 +278,7 @@ def derived_conditions(cicy: CicyType, d: int, g: int) -> DerivedVerdict:
     d < 1, d < 2g - 3) the verdict is an "out-of-range: ..." rejection with
     no rows and nothing assumed.
     """
-    out_of_range = (
-        f"genus must be nonnegative, got {_shown(g)}" if g < 0
-        else f"degree must be positive, got {_shown(d)}" if d < 1
-        else f"degree {_shown(d)} below the supported floor 2g-3 = "
-             f"{_shown(2 * g - 3)}" if d < 2 * g - 3 else None
-    )
-    if out_of_range is not None:
-        return DerivedVerdict(f"out-of-range: {out_of_range}", max(g, 0),
-                              None, ())
-    rows, chosen = [], None
-    for row in _FAMILY_ROWS[cicy]:
-        m, n = row.m, row.nodes
-        verdict = knutsen_exists(m, d, g)
-        margin_ok = n >= g + 2
-        route = nonspeciality_route(m, d, g)
-        failure = ("k3-existence" if not verdict.exists
-                   else "node-margin" if not margin_ok
-                   else "nonspeciality"
-                   if route.route is NonspecialityRoute.FAIL else None)
-        viable = failure is None
-        count = rigid_count(n, g) if viable else None
-        rows.append(RowAssessment(row, verdict, margin_ok, route, count,
-                                  failure))
-        # a later row must have more nodes: the first of equal rows is kept
-        if viable and (chosen is None or n > chosen.row.nodes):
-            chosen = rows[-1]
-    reason = "accepted" if chosen is not None else "no-viable-embedding"
-    return DerivedVerdict(reason, g, chosen, tuple(rows))
+    return _Column(cicy, g).derived(d)
 
 
 class _Input(NamedTuple):  # the "input" member of a certificate
@@ -376,12 +328,88 @@ class Certificate(NamedTuple):
     to_dict = _document
 
 
+class _Column:
+    """What the certificates of ``cicy`` at genus ``g`` share, built once:
+    the clauses that do not read ``d``, each row's half-degree, margin and
+    count, and the derived verdicts by their rows' (knutsen, route) pairs."""
+
+    def __init__(self, cicy: CicyType, g: int) -> None:
+        self.cicy, self.g, self.case = cicy, g, _STATED_CASES[cicy]
+        m, genus_cap = self.case[:2]
+        dominates = ("d > 2g-2=%s or d > g+%s=%s", (2 * g - 2, m, g + m))
+        # genus-nonnegative, genus-cap, and degree-dominates by ``holds``
+        self.clauses = (Clause("genus-nonnegative", g >= 0, "g=%s", (g,)),
+                        Clause("genus-cap", g < genus_cap, "g=%s < %s",
+                               (g, genus_cap)),
+                        (Clause("degree-dominates", False, *dominates),
+                         Clause("degree-dominates", True, *dominates)))
+        self.rows = []  # (row, m, node margin, count); none below genus 0
+        for row in _FAMILY_ROWS[cicy] if g >= 0 else ():
+            margin = row.nodes >= g + 2
+            self.rows.append((row, row.m, margin, rigid_count(
+                row.nodes, g) if margin else None))
+        self.verdicts: dict[tuple, DerivedVerdict] = {}
+
+    def stated(self, d: int) -> StatedVerdict:
+        g, (m, _, forbidden, exceptional, avoided, is_exceptional) = (
+            self.g, self.case)
+        nonnegative, capped, dominates = self.clauses
+        clauses = (nonnegative, Clause("degree-range", d >= 2 * g - 3,
+                                       "d=%s >= 2g-3=%s", (d, 2 * g - 3)))
+        if exceptional is not None:
+            clauses += (is_exceptional[(d, g) == exceptional],)
+        clauses += (Clause("genus-degree-bound", 4 * m * g < d * d,
+                           "%s*g=%s < d^2=%s", (4 * m, 4 * m * g, d * d)),
+                    capped, avoided[(d, g) != forbidden],
+                    dominates[d > 2 * g - 2 or d > g + m])
+        for clause, (decides, reason) in zip(
+                clauses, _DECISIONS[exceptional is not None], strict=True):
+            if clause.holds == decides:
+                return StatedVerdict(reason, clauses)
+        return StatedVerdict("accepted", clauses)
+
+    def derived(self, d: int) -> DerivedVerdict:
+        g = self.g
+        out_of_range = (
+            f"genus must be nonnegative, got {_shown(g)}" if g < 0
+            else f"degree must be positive, got {_shown(d)}" if d < 1
+            else f"degree {_shown(d)} below the supported floor 2g-3 = "
+                 f"{_shown(2 * g - 3)}" if d < 2 * g - 3 else None
+        )
+        if out_of_range is not None:
+            return DerivedVerdict(f"out-of-range: {out_of_range}", max(g, 0),
+                                  None, ())
+        key = tuple([(knutsen_exists(m, d, g), nonspeciality_route(m, d, g))
+                     for _, m, _, _ in self.rows])
+        verdict = self.verdicts.get(key)
+        if verdict is not None:
+            return verdict
+        rows, chosen = [], None
+        for (row, _, margin, count), (knutsen, route) in zip(self.rows, key):
+            failure = ("k3-existence" if not knutsen.exists
+                       else "node-margin" if not margin
+                       else "nonspeciality"
+                       if route.route is NonspecialityRoute.FAIL else None)
+            viable = failure is None
+            rows.append(RowAssessment(row, knutsen, margin, route,
+                                      count if viable else None, failure))
+            # a later row must have more nodes: the first of equal rows wins
+            if viable and (chosen is None or row.nodes > chosen.row.nodes):
+                chosen = rows[-1]
+        reason = "accepted" if chosen is not None else "no-viable-embedding"
+        self.verdicts[key] = DerivedVerdict(reason, g, chosen, tuple(rows))
+        return self.verdicts[key]
+
+    def certify(self, d: int) -> Certificate:
+        return Certificate(self.cicy, d, self.g, self.stated(d),
+                           self.derived(d))
+
+
 def certify(cicy: CicyType, d: int, g: int) -> Certificate:
     """Both decision modes side by side; inputs outside the derived chain's
     domain are rejections with a reason.  The warnings are not stored: the
     ``Certificate.warnings`` property reads them off the two verdicts."""
-    return Certificate(cicy, d, g, stated_conditions(cicy, d, g),
-                       derived_conditions(cicy, d, g))
+    return _Column(cicy, g).certify(d)
 
 
 class TableCheck(NamedTuple):
@@ -434,6 +462,7 @@ def enumerate_region(
             f"d_max={d_max} exceeds the enumeration guard {ENUMERATION_GUARD}"
         )
     # rows with 2g - 3 > d_max are empty
-    return (certify(cicy, d, g)
+    return (column.certify(d)
             for g in range(min(g_max, (d_max + 3) // 2) + 1)
+            for column in (_Column(cicy, g),)
             for d in range(max(1, 2 * g - 3), d_max + 1))

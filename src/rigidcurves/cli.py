@@ -140,7 +140,8 @@ def _emit_rows(header: list[str], rows: Iterable[list[str]], fmt: str) -> None:
             write("| " + " | ".join(row) + " |\n")
 
 
-def _dashed(degrees: Sequence[int]) -> str:
+@functools.cache  # its inputs are the node table's degree tuples
+def _dashed(degrees: tuple[int, ...]) -> str:
     return "-".join(map(str, degrees))
 
 

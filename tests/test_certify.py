@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from rigidcurves.certify import (
     CicyType,
     Clause,
+    DerivedVerdict,
     EmbeddingRow,
     WARN_DISAGREEMENT,
     WARN_EXTRAPOLATED,
@@ -442,6 +444,57 @@ class TestSharedRecords:
                     (exceptional,))
 
 
+    def test_each_column_builds_its_constants_once(self, monkeypatch):
+        # enumerate_region walks d through one column per genus: the column
+        # builds the clauses that do not read d, each row's count, and one
+        # derived verdict per distinct (knutsen, route) of its rows; a point
+        # builds its degree-range and genus-degree-bound clauses, and the
+        # lattice routes below d = 2g - 1
+        module = sys.modules["rigidcurves.certify"]
+        for cicy in CicyType:
+            built, counted = [], []
+            for cls in (Clause, DerivedVerdict, RouteResult):
+                def new(klass, *args, _new=cls.__new__, **kwargs):
+                    built.append(_new(klass, *args, **kwargs))
+                    return built[-1]
+                monkeypatch.setattr(cls, "__new__", staticmethod(new))
+
+            def count(n, ell):
+                counted.append((n, ell))
+                return rigid_count(n, ell)
+            monkeypatch.setattr(module, "rigid_count", count)
+            certificates = list(enumerate_region(cicy, 40, 8))
+            monkeypatch.undo()
+            columns = len({c.g for c in certificates})
+            rows = sum(1 for row in node_table() if row.cicy is cicy)
+            assert len(counted) == len(set(counted)) <= columns * rows
+            assert Counter(record.name for record in built
+                           if type(record) is Clause) == {
+                "genus-nonnegative": columns, "genus-cap": columns,
+                "degree-dominates": 2 * columns,
+                "degree-range": len(certificates),
+                "genus-degree-bound": len(certificates)}
+            assert sum(type(record) is RouteResult for record in built) == (
+                rows * sum(c.d < 2 * c.g - 1 for c in certificates))
+            shared = {}
+            for c in certificates:
+                key = c.g, tuple((a.knutsen, a.route) for a in c.derived.rows)
+                assert shared.setdefault(key, c.derived) is c.derived
+            assert sum(type(record) is DerivedVerdict for record in built) == (
+                len(shared))
+            assert len(shared) < len(certificates) / 3
+
+    def test_single_calls_return_new_records(self):
+        for call in (certify, stated_conditions, derived_conditions):
+            first, second = (call(CicyType.QUINTIC, 20, 2) for _ in "ab")
+            assert first == second and first is not second
+        first, second = (certify(CicyType.QUINTIC, 20, 2) for _ in "ab")
+        assert first.stated is not second.stated
+        assert first.derived is not second.derived
+        assert all(a is not b for a, b in zip(first.derived.rows,
+                                              second.derived.rows))
+
+
 class TestVerifyNodeTable:
     def test_exactly_ten_records(self):
         assert len(verify_node_table()) == 10
@@ -532,6 +585,27 @@ class TestEnumerate:
         assert list(enumerate_region(CicyType.QUINTIC, 10, 10**9)) == list(
             enumerate_region(CicyType.QUINTIC, 10, 6)
         )
+
+    @pytest.mark.parametrize("cicy", list(CicyType))
+    def test_region_equals_pointwise_calls(self, cicy):
+        # the box holds every genus's lattice-route floor d = 2g - 3, 2g - 2,
+        # every exceptional and forbidden pair, and the (2,2,2,2) rays
+        # {g = 7, d >= 12} and {g = 8, d >= 13}
+        points = [(d, g) for g in range(21)
+                  for d in range(max(1, 2 * g - 3), 61)]
+        assert {*FORBIDDEN_PAIRS.values(), *EXCEPTIONAL_PAIRS.values(),
+                (12, 7), (13, 8)} <= set(points)
+        region = list(enumerate_region(cicy, 60, 20))
+        pointwise = [certify(cicy, d, g) for d, g in points]
+        assert region == pointwise
+        assert [c.to_dict() for c in region] == [
+            c.to_dict() for c in pointwise]
+        for c in pointwise:
+            assert stated_conditions(cicy, c.d, c.g) == c.stated
+            assert derived_conditions(cicy, c.d, c.g) == c.derived
+        ray = [c for c in region if c.g in (7, 8) and c.d >= c.g + 5]
+        assert all(c.stated.accept != c.derived.accept for c in ray) == (
+            cicy is CicyType.FOUR_QUADRICS)
 
     @pytest.mark.parametrize(
         "cicy, disagreements",

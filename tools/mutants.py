@@ -61,7 +61,7 @@ ALLOWED = {
     ("certify.py", "enumerate_region",
      "for g in range(min(g_max, (d_max + 4) // 2) + 1)"):
         "equivalent: the one more genus row has 2g - 3 > d_max, so is empty",
-    ("certify.py", "stated_conditions",
+    ("certify.py", "_Column.stated",
      "clauses, _DECISIONS[exceptional is not None], strict=False):"):
         "equivalent: a test pins the lengths equal, so strict never raises",
     ("chern.py", "degeneracy_count","c = total_chern(expr, 3)"):

@@ -15,6 +15,7 @@ an accepted certificate is C(n - 2, g) for the chosen embedding row.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from enum import Enum
@@ -330,8 +331,8 @@ class Certificate(NamedTuple):
 
 class _Column:
     """What the certificates of ``cicy`` at genus ``g`` share, built once:
-    the clauses that do not read ``d``, each row's half-degree, margin and
-    count, and the derived verdicts by their rows' (knutsen, route) pairs."""
+    the clauses that do not read ``d``; from the first ``derived``, each row's
+    m, margin and count, and the verdicts by their (knutsen, route) pairs."""
 
     def __init__(self, cicy: CicyType, g: int) -> None:
         self.cicy, self.g, self.case = cicy, g, _STATED_CASES[cicy]
@@ -343,12 +344,16 @@ class _Column:
                                (g, genus_cap)),
                         (Clause("degree-dominates", False, *dominates),
                          Clause("degree-dominates", True, *dominates)))
-        self.rows = []  # (row, m, node margin, count); none below genus 0
-        for row in _FAMILY_ROWS[cicy] if g >= 0 else ():
-            margin = row.nodes >= g + 2
-            self.rows.append((row, row.m, margin, rigid_count(
-                row.nodes, g) if margin else None))
         self.verdicts: dict[tuple, DerivedVerdict] = {}
+
+    @functools.cached_property
+    def rows(self) -> list:  # (row, m, node margin, count); none below genus 0
+        rows, g = [], self.g
+        for row in _FAMILY_ROWS[self.cicy] if g >= 0 else ():
+            margin = row.nodes >= g + 2
+            rows.append((row, row.m, margin, rigid_count(
+                row.nodes, g) if margin else None))
+        return rows
 
     def stated(self, d: int) -> StatedVerdict:
         g, (m, _, forbidden, exceptional, avoided, is_exceptional) = (

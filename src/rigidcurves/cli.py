@@ -6,6 +6,7 @@ killed by SIGPIPE, with nothing on stderr).  Payload goes to stdout,
 diagnostics to stderr; identical invocations produce byte-identical output.
 JSON is exactly ``json.dumps(document, indent=2)``.  ``enumerate`` streams
 every format one certificate at a time; memory does not grow with the region.
+It reuses the text of the previous certificate's unchanged records or cells.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ def _member(slots: dict, at: object, value: object, newline: str) -> str:
     in slot ``at`` with ``value`` and the slots under it, and reused while
     ``value`` equals (``==``) the one there.  A scalar member or item is
     encoded in place; any other has a slot of its own, so only the records
-    that changed are encoded."""
+    that changed are encoded.  Other types raise ``TypeError``."""
     held = slots.get(at)
     if held is not None and held[0] == value:
         return held[1]
@@ -115,6 +116,8 @@ def _member(slots: dict, at: object, value: object, newline: str) -> str:
                          else _member(nested, i, item, inner))
         text = ("[" + inner + ("," + inner).join(parts) + newline + "]"
                 if parts else "[]")
+    elif not isinstance(value, tuple):  # a float, a dict, a str subclass...
+        raise TypeError(f"cannot encode {type(value).__name__} as JSON")
     else:
         for key, item in value.members():
             label = _LABELS.get(key) or _LABELS.setdefault(
@@ -127,17 +130,17 @@ def _member(slots: dict, at: object, value: object, newline: str) -> str:
     return text
 
 
+# format -> the text before a row's first cell, between cells, and after
+_ROW_TEXT = {"csv": ("", ",", "\n"), "markdown": ("| ", " | ", " |\n")}
+
+
 def _emit_rows(header: list[str], rows: Iterable[list[str]], fmt: str) -> None:
-    write = sys.stdout.write  # one call per line, its "\n" included
-    if fmt == "csv":
-        write(",".join(header) + "\n")
-        for row in rows:
-            write(",".join(row) + "\n")
-    else:  # markdown
-        write("| " + " | ".join(header) + " |\n")
-        write("| " + " | ".join(["---"] * len(header)) + " |\n")
-        for row in rows:
-            write("| " + " | ".join(row) + " |\n")
+    write, (start, sep, end) = sys.stdout.write, _ROW_TEXT[fmt]
+    write(start + sep.join(header) + end)
+    if fmt == "markdown":
+        write(start + sep.join(["---"] * len(header)) + end)
+    for row in rows:
+        write(start + sep.join(row) + end)
 
 
 @functools.cache  # its inputs are the node table's degree tuples
@@ -186,9 +189,16 @@ def run_enumerate(args: argparse.Namespace) -> int:
             separator = ",\n    "
         write("]\n}\n" if separator == "\n    " else "\n  ]\n}\n")
     else:
-        header = ["d", "g", "stated", "derived", "embedding", "n", "count",
-                  "warnings"]
-        _emit_rows(header, map(_certificate_row, certificates), args.format)
+        _emit_rows(["d", "g", "stated", "derived", "embedding", "n", "count",
+                    "warnings"], (), args.format)
+        # the cells after d and g, reused while (stated.accept, derived) is ==
+        write, (start, sep, end) = sys.stdout.write, _ROW_TEXT[args.format]
+        held = None
+        for c in certificates:
+            if (c.stated.accept, c.derived) != held:
+                held = c.stated.accept, c.derived
+                tail = sep + sep.join(_certificate_row(c)[2:]) + end
+            write(start + str(c.d) + sep + str(c.g) + tail)
     return EXIT_OK
 
 

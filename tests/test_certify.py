@@ -484,6 +484,32 @@ class TestSharedRecords:
                 len(shared))
             assert len(shared) < len(certificates) / 3
 
+    def test_single_calls_count_only_the_rows_they_read(self, monkeypatch):
+        # a column builds its rows' counts the first time ``derived`` runs:
+        # the stated mode and an out-of-range point read none of them
+        module = sys.modules["rigidcurves.certify"]
+        counted = []
+
+        def count(n, ell):
+            counted.append((n, ell))
+            return rigid_count(n, ell)
+        monkeypatch.setattr(module, "rigid_count", count)
+        total = 0
+        for cicy in CicyType:
+            rows = sum(1 for row in node_table() if row.cicy is cicy)
+            for d, g in ((6, 2), (40, 8), (3, 1), (20, 30), (1, 0)):
+                stated_conditions(cicy, d, g)
+                assert counted == []
+                for call in (certify, derived_conditions):
+                    call(cicy, d, g)
+                    assert len(counted) == len(set(counted)) <= rows
+                    total += len(counted)
+                    counted.clear()
+            for d, g in ((0, 2), (5, 9), (6, -1)):
+                certify(cicy, d, g)
+                assert counted == []
+        assert total > 0
+
     def test_single_calls_return_new_records(self):
         for call in (certify, stated_conditions, derived_conditions):
             first, second = (call(CicyType.QUINTIC, 20, 2) for _ in "ab")

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import rigidcurves
 from rigidcurves.certify import (
     ENUMERATION_GUARD,
+    Certificate,
     Clause,
     CicyType,
     DerivedVerdict,
@@ -23,7 +25,13 @@ from rigidcurves.certify import (
     certify,
     enumerate_region,
 )
-from rigidcurves.cli import EXIT_BROKEN_PIPE, _encode, main
+from rigidcurves.cli import (
+    EXIT_BROKEN_PIPE,
+    _certificate_row,
+    _encode,
+    _member,
+    main,
+)
 
 
 def run_cli(argv):
@@ -314,6 +322,48 @@ class TestEnumerateCommand:
         assert changes < len(derived) // 4
         assert builds == {Clause: clause_changes, DerivedVerdict: changes}
         assert details == clause_changes
+
+    @pytest.mark.parametrize("fmt, start, sep, end", [
+        ("csv", "", ",", "\n"), ("markdown", "| ", " | ", " |\n")])
+    def test_rows_match_certificate_rows_byte_for_byte(self, fmt, start, sep,
+                                                       end):
+        # d <= 60, g <= 12 holds column switches, the (2,2,2,2) rays of
+        # disagreement and the exceptional pairs
+        header = start + sep.join(["d", "g", "stated", "derived", "embedding",
+                                   "n", "count", "warnings"]) + end
+        rule = start + sep.join(["---"] * 8) + end if fmt == "markdown" else ""
+        for cicy in CicyType:
+            code, out, _ = run_cli(["enumerate", "--type", cicy.type_string(),
+                                    "--d-max", "60", "--g-max", "12",
+                                    "--format", fmt])
+            assert code == 0
+            assert out == header + rule + "".join(
+                start + sep.join(_certificate_row(c)) + end
+                for c in enumerate_region(cicy, 60, 12))
+
+    def test_rows_read_warnings_once_per_verdict_change(self, monkeypatch):
+        # the cells after d and g are rebuilt only where the pair
+        # (stated.accept, derived) differs from the previous certificate's
+        changes = certificates = 0
+        for cicy in CicyType:
+            held = None
+            for c in enumerate_region(cicy, 40, 8):
+                changes += (c.stated.accept, c.derived) != held
+                certificates += 1
+                held = c.stated.accept, c.derived
+        reads = 0
+
+        def counted(certificate, warnings=Certificate.warnings.fget):
+            nonlocal reads
+            reads += 1
+            return warnings(certificate)
+        monkeypatch.setattr(Certificate, "warnings", property(counted))
+        for cicy in CicyType:
+            code, _, _ = run_cli(["enumerate", "--type", cicy.type_string(),
+                                  "--d-max", "40", "--g-max", "8",
+                                  "--format", "csv"])
+            assert code == 0
+        assert reads == changes < certificates / 5
 
     def test_json_builds_no_dict(self, monkeypatch):
         # the streamed writer reads members() alone: no record's to_dict()
@@ -642,3 +692,21 @@ class TestJsonEncoder:
     def test_other_types_rejected(self, document):
         with pytest.raises(TypeError):
             _encode(document)
+
+
+class Reading(NamedTuple):  # a record whose member is not JSON
+    value: object
+
+    def members(self) -> tuple:
+        return (("value", self.value),)
+
+
+class TestMemberWriter:
+    @pytest.mark.parametrize(
+        "value", [1.5, {"a": 1}, Label("a"), Level.ONE, [1], frozenset()],
+        ids=["float", "dict", "str-subclass", "int-subclass", "list", "set"])
+    def test_other_types_rejected(self, value):
+        for document in (Reading(value), Reading((value,)),
+                         Reading(Reading(value))):
+            with pytest.raises(TypeError):
+                _member({}, None, document, "\n")

@@ -15,7 +15,6 @@ count used to cross-check the embedding table.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from typing import Iterable, NamedTuple, Sequence
@@ -35,9 +34,9 @@ class InvalidEmbeddingError(ValueError):
 def _fold(roots: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """Normal form of a root multiset: exponents of equal roots summed, the
     root 0 and zero exponents dropped, sorted by root."""
-    merged: Counter[int] = Counter()
+    merged: dict[int, int] = {}
     for c, e in roots:
-        merged[c] += e
+        merged[c] = merged.get(c, 0) + e
     return tuple(sorted((c, e) for c, e in merged.items() if c and e))
 
 
@@ -96,7 +95,8 @@ def total_chern(expr: BundleExpr, ell: int) -> TruncatedSeries:
     binomial series ``(1 + c*h)^e``, exact by Whitney multiplicativity.
     """
     if ell < 0:
-        raise ValueError(f"ambient dimension must be nonnegative, got {ell}")
+        raise ValueError(
+            f"ambient dimension must be nonnegative, got {_shown(ell)}")
     roots = _fold(expr.roots + ((-1, expr.cotangents * (ell + 1)),))
     factors = [binomial_series(c, e, ell) for c, e in roots]
     return reduce(mul, factors) if factors else TruncatedSeries.one(ell)
@@ -128,7 +128,8 @@ def excess_bundle(n: int) -> BundleExpr:
     one hyperplane structure sheaf per node, folded to the single root
     ``-1`` with exponent ``-n``."""
     if n < 0:
-        raise ValueError(f"node count must be nonnegative, got {n}")
+        raise ValueError(
+            f"node count must be nonnegative, got {_shown(n)}")
     return BundleExpr(((-1, -n),), cotangents=1)
 
 
@@ -159,6 +160,12 @@ def rigid_count(n: int, ell: int) -> int:
     return math.comb(n - 2, ell)
 
 
+def _degrees(degrees: tuple[int, ...]) -> str:
+    """``str(degrees)``, each entry printed through :func:`_shown`."""
+    shown = ", ".join(map(_shown, degrees))
+    return f"({shown},)" if len(degrees) == 1 else f"({shown})"
+
+
 def degeneracy_count(
     cicy_degrees: Sequence[int], k3_degrees: Sequence[int]
 ) -> int:
@@ -181,7 +188,8 @@ def degeneracy_count(
         raise InvalidEmbeddingError("all degrees must be at least 1")
     if any(bi < ai for bi, ai in zip(b, a)):
         raise InvalidEmbeddingError(
-            f"threefold degrees {b} do not dominate K3 degrees {a}"
+            f"threefold degrees {_degrees(b)} do not dominate K3 degrees "
+            f"{_degrees(a)}"
         )
     expr = BundleExpr.sum_of_line_twists(b) - BundleExpr.sum_of_line_twists(a)
     c = total_chern(expr, 2)

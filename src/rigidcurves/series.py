@@ -29,10 +29,6 @@ class NonUnitError(ZeroDivisionError):
 
 
 def _exact(value: Rational) -> Fraction:
-    # an exact type test: isinstance(value, Fraction) goes through ABCMeta
-    # and costs an int coefficient as much as building its Fraction
-    if type(value) is Fraction:
-        return value
     if isinstance(value, float):
         raise TypeError("coefficients must be exact rationals, not floats")
     return Fraction(value)
@@ -60,7 +56,10 @@ class TruncatedSeries(_SeriesFields):
     ) -> "TruncatedSeries":
         if order < 0:
             raise ValueError(f"order must be nonnegative, got {order}")
-        coeffs = tuple(_exact(c) for c in coeffs)
+        # exact type tests, inline: isinstance goes through ABCMeta, and a
+        # call per coefficient costs a third of building its Fraction
+        coeffs = tuple([c if type(c) is Fraction else Fraction(c)
+                        if type(c) is int else _exact(c) for c in coeffs])
         if len(coeffs) != order + 1:
             raise ValueError(
                 f"order {order} needs {order + 1} coefficients, "

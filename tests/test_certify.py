@@ -23,10 +23,15 @@ from rigidcurves.certify import (
     verify_node_table,
 )
 from rigidcurves.chern import (
+    BundleExpr,
     ExcessProblem,
     HypothesisError,
+    InvalidEmbeddingError,
+    degeneracy_count,
+    excess_bundle,
     excess_count,
     rigid_count,
+    total_chern,
 )
 from rigidcurves.cli import _certificate_row
 from rigidcurves.k3 import (
@@ -297,7 +302,11 @@ class TestCertify:
         (knutsen_exists, (10**5000, 1, 1), UnsupportedPolarizationError),
         (ExcessProblem, (1, 10**5000), HypothesisError),
         (rigid_count, (1, 10**5000), HypothesisError),
-    ], ids=["route-floor", "knutsen-m", "excess-problem", "rigid-count"])
+        (degeneracy_count, ((1,), (10**5000, 1)), InvalidEmbeddingError),
+        (excess_bundle, (-(10**5000),), ValueError),
+        (total_chern, (BundleExpr(), -(10**5000)), ValueError),
+    ], ids=["route-floor", "knutsen-m", "excess-problem", "rigid-count",
+            "degeneracy-count", "excess-bundle", "total-chern"])
     def test_errors_keep_their_class_past_the_limit(self, call, args, error):
         with pytest.raises(error, match="-bit integer>"):
             call(*args)

@@ -172,3 +172,12 @@ class TestDegeneracyCount:
     def test_shape_violations(self, b, a):
         with pytest.raises(InvalidEmbeddingError):
             degeneracy_count(b, a)
+
+    @pytest.mark.parametrize("b, a, shown", [
+        ((1,), (2, 1), "(1,) do not dominate K3 degrees (2, 1)"),
+        ((2, 2), (1, 3, 1), "(2, 2) do not dominate K3 degrees (3, 1, 1)"),
+    ], ids=["one-degree", "two-degrees"])
+    def test_dominance_message_prints_sorted_tuples(self, b, a, shown):
+        with pytest.raises(InvalidEmbeddingError) as raised:
+            degeneracy_count(b, a)
+        assert str(raised.value) == "threefold degrees " + shown

@@ -16,6 +16,7 @@ from rigidcurves.chern import (
     HyperplaneSheaf,
     LineTwist,
     ProjectiveCotangent,
+    _fold,
     excess_bundle,
     excess_count,
     total_chern,
@@ -107,6 +108,33 @@ class TestAgainstReference:
         assert expr == build(terms)
         for series in (total_chern(expr, 5), reference_total_chern(terms, 5)):
             assert all(type(c) is Fraction for c in series.coeffs)
+
+
+def reference_fold(roots):
+    """The normal form of a root multiset, summed in a Counter."""
+    merged = Counter()
+    for c, e in roots:
+        merged[c] += e
+    return tuple(sorted((c, e) for c, e in merged.items() if c and e))
+
+
+# small ranges, so that root 0, zero exponents and repeated roots are common
+root_lists = st.lists(st.tuples(st.integers(-3, 3), st.integers(-2, 2)),
+                      max_size=10)
+
+
+class TestFold:
+    @settings(max_examples=300, deadline=None)
+    @given(root_lists, root_lists, st.randoms(use_true_random=False))
+    def test_matches_counter_reference(self, roots, pairs, rng):
+        roots = roots + pairs + [(c, -e) for c, e in pairs]
+        rng.shuffle(roots)
+        assert _fold(iter(roots)) == reference_fold(roots)
+
+    def test_normal_form(self):
+        roots = [(0, 5), (2, 0), (3, 1), (-1, 2), (3, -1), (-1, 1), (4, 2)]
+        assert _fold(roots) == ((-1, 3), (4, 2))
+        assert _fold([]) == ()
 
 
 class TestSemanticEquality:

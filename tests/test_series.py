@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import rigidcurves.series
 from rigidcurves.series import (
     NonUnitError,
     OrderMismatchError,
@@ -16,6 +17,18 @@ from rigidcurves.series import (
 
 def series(*coeffs):
     return TruncatedSeries(len(coeffs) - 1, tuple(coeffs))
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Fraction(Fraction):
+    pass
 
 
 def random_series(rng, order, unit=False):
@@ -53,6 +66,33 @@ class TestConstruction:
         s = TruncatedSeries(1, (f, g))
         assert s.coeffs[0] is f
         assert s.coeffs[1] is g
+
+    def test_every_exact_coefficient_becomes_a_fraction(self):
+        s = series(3, True, False, _Int(4), Fraction(1, 3), _Fraction(2),
+                   "1/5")
+        assert [type(c) for c in s.coeffs] == [Fraction] * 7
+        assert s.coeffs == (3, 1, 0, 4, Fraction(1, 3), 2, Fraction(1, 5))
+
+    @pytest.mark.parametrize("value", [_Float(2.0), float("nan")],
+                             ids=["float-subclass", "nan"])
+    def test_float_and_float_subclass_rejected(self, value):
+        with pytest.raises(TypeError, match="not floats"):
+            TruncatedSeries(1, (1, value))
+
+    def test_ints_and_fractions_make_no_conversion_call(self, monkeypatch):
+        exact, calls = rigidcurves.series._exact, []
+
+        def counted(value):
+            calls.append(value)
+            return exact(value)
+
+        monkeypatch.setattr(rigidcurves.series, "_exact", counted)
+        a = TruncatedSeries(3, (1, Fraction(1, 2), -4, Fraction(5)))
+        int_pow(mul(a, invert(a)), -3)
+        binomial_series(-1, -40, 30)
+        assert calls == []
+        series(True, _Int(2))  # every other value still goes through it
+        assert calls == [True, 2]
 
     def test_from_polynomial_pads_and_truncates(self):
         assert TruncatedSeries.from_polynomial((1, 5), 3) == series(1, 5, 0, 0)

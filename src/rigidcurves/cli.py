@@ -4,7 +4,9 @@ Exit codes: 0 = success/certified, 1 = rejected, 2 = invalid input,
 3 = table verification mismatch, 141 = stdout closed by its reader (as if
 killed by SIGPIPE, with nothing on stderr).  Payload goes to stdout,
 diagnostics to stderr; identical invocations produce byte-identical output.
-JSON is exactly ``json.dumps(document, indent=2)``.  ``enumerate`` streams
+JSON is exactly ``json.dumps(document, indent=2)``, and every command writes
+it through one writer, ``_member``, from its records' ``members()``; no
+command builds a dict or calls ``to_dict()``.  ``enumerate`` streams
 every format one certificate at a time; memory does not grow with the region.
 It reuses the text of the previous certificate's unchanged records or cells.
 """
@@ -16,7 +18,7 @@ import functools
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .certify import (
     ENUMERATION_GUARD,
@@ -63,48 +65,27 @@ _SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
             type(None): {None: "null"}.__getitem__}
 
 
-def _encode(value: object, newline: str = "\n") -> str:
-    """``json.dumps(value, indent=2)``, byte for byte, for a document of
-    ``dict`` (``str`` keys), ``list``, ``str``, ``int``, ``bool`` and ``None``.
-
-    ``newline`` is the line break and indentation of the line ``value``
-    starts on.  Any other type raises ``TypeError``: floats, non-``str``
-    keys, and subclasses of ``str`` or ``int``.
-    """
-    kind = type(value)
-    scalar = _SCALARS.get(kind)
-    if scalar is not None:
-        return scalar(value)
-    inner = newline + "  "
-    if kind is dict:
-        if not value:
-            return "{}"
-        parts = []
-        for key, item in value.items():
-            if type(key) is not str:
-                raise TypeError(f"cannot encode {type(key).__name__} key")
-            parts.append(encode_basestring_ascii(key) + ": "
-                         + _encode(item, inner))
-        return "{" + inner + ("," + inner).join(parts) + newline + "}"
-    if kind is list:
-        if not value:
-            return "[]"
-        parts = [_encode(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(parts) + newline + "]"
-    raise TypeError(f"cannot encode {kind.__name__} as JSON")
-
-
 # '"key": ' for each member key that _member has written, encoded once; the
-# keys of a record depend on its class alone, so this holds a fixed set
+# keys the CLI writes are the fixed set its records' members() name
 _LABELS: dict[str, str] = {}
 
 
+class _Object(NamedTuple):  # a CLI document that is no library record
+    pairs: tuple
+
+    def members(self) -> tuple:
+        return self.pairs
+
+
 def _member(slots: dict, at: object, value: object, newline: str) -> str:
-    """``_encode(_document(value), newline)`` for a record or a tuple, kept
-    in slot ``at`` with ``value`` and the slots under it, and reused while
-    ``value`` equals (``==``) the one there.  A scalar member or item is
+    """``json.dumps(_document(value), indent=2)`` for a record or a tuple,
+    byte for byte, with each line break replaced by ``newline``.  The text
+    is kept in slot ``at`` with ``value`` and the slots under it, and reused
+    while ``value`` equals (``==``) the one there.  A scalar member or item is
     encoded in place; any other has a slot of its own, so only the records
-    that changed are encoded.  Other types raise ``TypeError``."""
+    that changed are encoded.  Any other type raises ``TypeError``: floats,
+    non-``str`` keys, subclasses of ``str`` or ``int``, and tuples with no
+    ``members()``."""
     held = slots.get(at)
     if held is not None and held[0] == value:
         return held[1]
@@ -116,16 +97,22 @@ def _member(slots: dict, at: object, value: object, newline: str) -> str:
                          else _member(nested, i, item, inner))
         text = ("[" + inner + ("," + inner).join(parts) + newline + "]"
                 if parts else "[]")
-    elif not isinstance(value, tuple):  # a float, a dict, a str subclass...
-        raise TypeError(f"cannot encode {type(value).__name__} as JSON")
-    else:
-        for key, item in value.members():
+    elif isinstance(value, tuple):
+        try:  # looked up apart from the call, whose own errors pass through
+            members = value.members
+        except AttributeError:
+            raise TypeError(f"cannot encode {type(value).__name__} as JSON: "
+                            "it has no members()") from None
+        for key, item in members():
             label = _LABELS.get(key) or _LABELS.setdefault(
                 key, encode_basestring_ascii(key) + ": ")
             scalar = _SCALARS.get(type(item))
             parts.append(label + (scalar(item) if scalar
                                   else _member(nested, key, item, inner)))
-        text = "{" + inner + ("," + inner).join(parts) + newline + "}"
+        text = ("{" + inner + ("," + inner).join(parts) + newline + "}"
+                if parts else "{}")
+    else:  # a float, a dict, a str or int subclass...
+        raise TypeError(f"cannot encode {type(value).__name__} as JSON")
     slots[at] = (value, text, nested)
     return text
 
@@ -150,7 +137,7 @@ def _dashed(degrees: tuple[int, ...]) -> str:
 
 def run_certify(args: argparse.Namespace) -> int:
     certificate = certify(args.type, args.d, args.g)
-    print(_encode(certificate.to_dict()))
+    print(_member({}, None, certificate, "\n"))
     return EXIT_OK if certificate.derived.accept else EXIT_REJECTED
 
 
@@ -174,12 +161,12 @@ def run_enumerate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail(str(exc))
     if args.format == "json":
-        # print(_encode({"input": ..., "certificates": [...]})), written one
-        # certificate at a time.
+        # the document {"input": ..., "certificates": [...]}, written one
+        # certificate at a time
         write = sys.stdout.write
-        region = {"type": args.type.type_string(), "d_max": args.d_max,
-                  "g_max": args.g_max}
-        write('{\n  "input": ' + _encode(region, "\n  ")
+        region = _Object((("type", args.type.type_string()),
+                          ("d_max", args.d_max), ("g_max", args.g_max)))
+        write('{\n  "input": ' + _member({}, None, region, "\n  ")
               + ',\n  "certificates": [')
         # one slot per document path, for this call only (see _member):
         # consecutive certificates mostly share their records
@@ -206,10 +193,10 @@ def run_table(args: argparse.Namespace) -> int:
     checks = verify_node_table()
     all_agree = all(check.agree for check in checks)
     if args.format == "json":
-        rows = [check.to_dict() if args.verify else check.row.to_dict()
-                for check in checks]
-        print(_encode({"rows": rows, "all_agree": all_agree} if args.verify
-                      else {"rows": rows}))
+        rows = tuple(checks) if args.verify else tuple(c.row for c in checks)
+        pairs = (("rows", rows), ("all_agree", all_agree))
+        print(_member({}, None, _Object(pairs if args.verify else pairs[:1]),
+                      "\n"))
     else:
         width = 5 if args.verify else 3
         header = ["cicy", "k3", "n", "computed_n", "agree"][:width]
@@ -234,13 +221,13 @@ def run_count(args: argparse.Namespace) -> int:
         return _fail(str(exc))
     series_value = excess_count(problem)
     binomial_value = rigid_count(args.n, args.ell)
-    print(_encode({
-        "n": args.n,
-        "ell": args.ell,
-        "excess_count": str(series_value),
-        "binomial_count": str(binomial_value),
-        "agree": series_value == binomial_value,
-    }))
+    print(_member({}, None, _Object((
+        ("n", args.n),
+        ("ell", args.ell),
+        ("excess_count", str(series_value)),
+        ("binomial_count", str(binomial_value)),
+        ("agree", series_value == binomial_value),
+    )), "\n"))
     return EXIT_OK
 
 

@@ -24,11 +24,11 @@ from rigidcurves.certify import (
     _document,
     certify,
     enumerate_region,
+    verify_node_table,
 )
 from rigidcurves.cli import (
     EXIT_BROKEN_PIPE,
     _certificate_row,
-    _encode,
     _member,
     main,
 )
@@ -275,7 +275,8 @@ class TestEnumerateCommand:
                              for i, item in enumerate(value)
                              if type(item) not in scalars]
                 for node, item, indent in held:
-                    text = _encode(_document(item), indent)
+                    text = json.dumps(_document(item), indent=2).replace(
+                        "\n", indent)
                     assert encoded.setdefault((node, item), text) == text
                     nodes += 1
                     paths.add(node)
@@ -366,22 +367,43 @@ class TestEnumerateCommand:
         assert reads == changes < certificates / 5
 
     def test_json_builds_no_dict(self, monkeypatch):
-        # the streamed writer reads members() alone: no record's to_dict()
-        expected = json.dumps({
-            "input": {"type": "2,2,2,2", "d_max": 40, "g_max": 8},
-            "certificates": [c.to_dict() for c in enumerate_region(
-                CicyType.FOUR_QUADRICS, 40, 8)],
-        }, indent=2) + "\n"
+        # every command writes its JSON from members() alone: no record's
+        # to_dict(), the same bytes and the same exit code
+        def certified(d, g, code):
+            return (["certify", "--type", "5", "--d", str(d), "--g", str(g)],
+                    code, certify(CicyType.QUINTIC, d, g).to_dict())
+
+        checks = verify_node_table()
+        cases = [
+            (["enumerate", "--type", "2,2,2,2", "--d-max", "40", "--g-max",
+              "8", "--format", "json"], 0, {
+                "input": {"type": "2,2,2,2", "d_max": 40, "g_max": 8},
+                "certificates": [c.to_dict() for c in enumerate_region(
+                    CicyType.FOUR_QUADRICS, 40, 8)]}),
+            certified(6, 2, 0),
+            certified(5, 3, 1),
+            certified(6, 40, 1),
+            (["table"], 0, {"rows": [c.row.to_dict() for c in checks]}),
+            (["table", "--verify"], 3,
+             {"rows": [c.to_dict() for c in checks], "all_agree": False}),
+            (["count", "--n", "20", "--ell", "5"], 0,
+             {"n": 20, "ell": 5, "excess_count": "8568",
+              "binomial_count": "8568", "agree": True}),
+        ]
+        # accepted, rejected, and outside the supported degree range
+        assert [case[2]["derived"]["reason"].split(":")[0]
+                for case in cases[1:4]] == ["accepted", "no-viable-embedding",
+                                            "out-of-range"]
         for name in ("Certificate", "StatedVerdict", "Clause",
                      "DerivedVerdict", "RowAssessment", "EmbeddingRow",
-                     "KnutsenVerdict", "RouteResult", "NonspecialVerdict"):
+                     "KnutsenVerdict", "RouteResult", "NonspecialVerdict",
+                     "TableCheck"):
             def refuse(self, name=name):
                 raise AssertionError(f"{name}.to_dict called")
             monkeypatch.setattr(getattr(rigidcurves, name), "to_dict", refuse)
-        code, out, _ = run_cli(["enumerate", "--type", "2,2,2,2", "--d-max",
-                                "40", "--g-max", "8", "--format", "json"])
-        assert code == 0
-        assert out == expected
+        for argv, code, expected in cases:
+            assert run_cli(argv) == (
+                code, json.dumps(expected, indent=2) + "\n", ""), argv
 
 
 class Discard:
@@ -641,14 +663,42 @@ json_leaves = st.one_of(
     st.booleans(),
     st.none(),
 )
-json_documents = st.recursive(
+
+
+class Pairs(NamedTuple):  # a test record: its members are its pairs
+    pairs: tuple
+
+    def members(self) -> tuple:
+        return self.pairs
+
+
+def records(values, keys=json_strings):
+    """Records whose ``members()`` pair distinct ``keys`` with ``values``."""
+    return st.dictionaries(keys, values, max_size=4).map(
+        lambda members: Pairs(tuple(members.items())))
+
+
+# every shape a record's members() may hold: scalars, tuples (empty and
+# nested) and records (empty and nested)
+json_values = st.recursive(
     json_leaves,
     lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.dictionaries(json_strings, children, max_size=4),
-    ),
+        st.lists(children, max_size=4).map(tuple), records(children)),
     max_leaves=20,
 )
+
+
+def buried(bad):
+    """Records that hold ``bad`` at some depth, after other members."""
+    return st.recursive(
+        bad,
+        lambda inner: st.one_of(
+            st.tuples(json_values, inner),
+            st.tuples(json_strings, inner, json_values).map(
+                lambda t: Pairs(((t[0], t[1]), (t[0] + "'", t[2])))),
+        ),
+        max_leaves=5,
+    )
 
 
 class Label(str):
@@ -659,39 +709,47 @@ class Level(enum.IntEnum):
     ONE = 1
 
 
+class Point(NamedTuple):  # a tuple that is no record: it has no members()
+    x: int
+
+
 class TestJsonEncoder:
+    """The one JSON writer, ``_member``, over test records."""
+
     @settings(max_examples=200, deadline=None)
-    @given(json_documents)
-    def test_matches_indented_json_dumps(self, document):
-        assert _encode(document) == json.dumps(document, indent=2)
+    @given(records(json_values))
+    @example(Pairs(()))
+    @example(Pairs((("a", ()), ("b", ((), Pairs(()))), ("c", Pairs(())))))
+    def test_matches_indented_json_dumps(self, record):
+        assert _member({}, None, record, "\n") == json.dumps(
+            _document(record), indent=2)
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        st.recursive(
-            st.floats(),
-            lambda inner: st.one_of(
-                st.tuples(json_documents, inner).map(list),
-                st.tuples(json_strings, inner, json_documents).map(
-                    lambda t: {t[0]: t[1], t[0] + "'": t[2]}
-                ),
-            ),
-            max_leaves=5,
-        )
-    )
-    def test_no_floats_anywhere(self, document):
+    @given(buried(st.floats()))
+    def test_no_floats_anywhere(self, value):
         with pytest.raises(TypeError):
-            _encode(document)
+            _member({}, None, value, "\n")
+
+    @settings(max_examples=100, deadline=None)
+    @given(buried(records(json_values, st.one_of(
+        st.integers(), st.none(), st.booleans(), st.floats(), st.binary()))
+        .filter(lambda record: record.pairs)))
+    def test_no_non_str_keys_anywhere(self, value):
+        with pytest.raises(TypeError):
+            _member({}, None, value, "\n")
 
     @pytest.mark.parametrize(
-        "document",
-        [{1: "a"}, {None: 1}, {True: 1}, {1.5: 1}, {"a": {2: []}},
-         [Label("a")], {"a": Level.ONE}, ("a",)],
+        "record",
+        [Pairs(((1, "a"),)), Pairs(((None, 1),)), Pairs(((True, 1),)),
+         Pairs(((1.5, 1),)), Pairs((("a", Pairs(((2, ()),))),)),
+         Pairs((("a", (Label("a"),)),)), Pairs((("a", Level.ONE),)),
+         Pairs((("a", Point(1)),))],
         ids=["int-key", "none-key", "bool-key", "float-key", "nested-key",
              "str-subclass", "int-subclass", "tuple"],
     )
-    def test_other_types_rejected(self, document):
+    def test_other_types_rejected(self, record):
         with pytest.raises(TypeError):
-            _encode(document)
+            _member({}, None, record, "\n")
 
 
 class Reading(NamedTuple):  # a record whose member is not JSON
@@ -701,10 +759,17 @@ class Reading(NamedTuple):  # a record whose member is not JSON
         return (("value", self.value),)
 
 
+class Loose:  # members() on a class that is no tuple, so no record
+    def members(self) -> tuple:
+        return (("a", 1),)
+
+
 class TestMemberWriter:
     @pytest.mark.parametrize(
-        "value", [1.5, {"a": 1}, Label("a"), Level.ONE, [1], frozenset()],
-        ids=["float", "dict", "str-subclass", "int-subclass", "list", "set"])
+        "value", [1.5, {"a": 1}, Label("a"), Level.ONE, [1], frozenset(),
+                  Point(1), Loose()],
+        ids=["float", "dict", "str-subclass", "int-subclass", "list", "set",
+             "namedtuple", "not-a-tuple"])
     def test_other_types_rejected(self, value):
         for document in (Reading(value), Reading((value,)),
                          Reading(Reading(value))):

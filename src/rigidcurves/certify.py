@@ -330,13 +330,19 @@ class Certificate(NamedTuple):
 
 
 class _Column:
-    """What the certificates of ``cicy`` at genus ``g`` share, built once:
-    the clauses that do not read ``d``; from the first ``derived``, each row's
-    m, margin and count, and the verdicts by their (knutsen, route) pairs."""
+    """What the certificates of ``cicy`` at genus ``g`` share, built once: the
+    clauses that do not read ``d``, the numbers the rest compare ``d`` against
+    (2g-3, 4m and 4mg, min(2g-2, g+m)) and the decisions in clause order; from
+    the first ``derived``, each row's m, margin and count, and the verdicts by
+    their (knutsen, route) pairs."""
 
     def __init__(self, cicy: CicyType, g: int) -> None:
         self.cicy, self.g, self.case = cicy, g, _STATED_CASES[cicy]
-        m, genus_cap = self.case[:2]
+        m, genus_cap, _, exceptional = self.case[:4]
+        self.floor, self.bound = 2 * g - 3, (4 * m, 4 * m * g)
+        # d > 2g-2 or d > g+m holds exactly when d > min(2g-2, g+m)
+        self.threshold = min(2 * g - 2, g + m)
+        self.decisions = _DECISIONS[exceptional is not None]
         dominates = ("d > 2g-2=%s or d > g+%s=%s", (2 * g - 2, m, g + m))
         # genus-nonnegative, genus-cap, and degree-dominates by ``holds``
         self.clauses = (Clause("genus-nonnegative", g >= 0, "g=%s", (g,)),
@@ -356,19 +362,19 @@ class _Column:
         return rows
 
     def stated(self, d: int) -> StatedVerdict:
-        g, (m, _, forbidden, exceptional, avoided, is_exceptional) = (
+        g, (_, _, forbidden, exceptional, avoided, is_exceptional) = (
             self.g, self.case)
-        nonnegative, capped, dominates = self.clauses
-        clauses = (nonnegative, Clause("degree-range", d >= 2 * g - 3,
-                                       "d=%s >= 2g-3=%s", (d, 2 * g - 3)))
-        if exceptional is not None:
-            clauses += (is_exceptional[(d, g) == exceptional],)
-        clauses += (Clause("genus-degree-bound", 4 * m * g < d * d,
-                           "%s*g=%s < d^2=%s", (4 * m, 4 * m * g, d * d)),
-                    capped, avoided[(d, g) != forbidden],
-                    dominates[d > 2 * g - 2 or d > g + m])
-        for clause, (decides, reason) in zip(
-                clauses, _DECISIONS[exceptional is not None], strict=True):
+        (nonnegative, capped, dominates), (four_m, four_mg) = (
+            self.clauses, self.bound)
+        clauses = (nonnegative, Clause("degree-range", d >= self.floor,
+                                       "d=%s >= 2g-3=%s", (d, self.floor)),
+                   *(() if exceptional is None
+                     else (is_exceptional[(d, g) == exceptional],)),
+                   Clause("genus-degree-bound", four_mg < d * d,
+                          "%s*g=%s < d^2=%s", (four_m, four_mg, d * d)),
+                   capped, avoided[(d, g) != forbidden],
+                   dominates[d > self.threshold])
+        for clause, (decides, reason) in zip(clauses, self.decisions):
             if clause.holds == decides:
                 return StatedVerdict(reason, clauses)
         return StatedVerdict("accepted", clauses)

@@ -180,12 +180,12 @@ def run_enumerate(args: argparse.Namespace) -> int:
                     "warnings"], (), args.format)
         # the cells after d and g, reused while (stated.accept, derived) is ==
         write, (start, sep, end) = sys.stdout.write, _ROW_TEXT[args.format]
-        held = None
+        accept = derived = None
         for c in certificates:
-            if (c.stated.accept, c.derived) != held:
-                held = c.stated.accept, c.derived
+            if c.derived != derived or c.stated.accept != accept:
+                accept, derived = c.stated.accept, c.derived
                 tail = sep + sep.join(_certificate_row(c)[2:]) + end
-            write(start + str(c.d) + sep + str(c.g) + tail)
+            write(f"{start}{c.d}{sep}{c.g}{tail}")
     return EXIT_OK
 
 

@@ -155,7 +155,7 @@ def knutsen_exists(m: int, d: int, g: int) -> KnutsenVerdict:
         return _EXCEPTIONAL[extrapolated]
     if not 4 * m * g < d * d:
         return _BOUND_FAILED[extrapolated]
-    if (d, g) == (2 * m + 1, m + 1):
+    if d == 2 * m + 1 and g == m + 1:
         return _FORBIDDEN[extrapolated]
     return _BOUND_HOLDS[extrapolated]
 

@@ -179,6 +179,51 @@ class TestStatedConditions:
         decisions = _DECISIONS[cicy in EXCEPTIONAL_PAIRS]
         assert [_CLAUSE_DECISIONS[c.name] for c in clauses] == list(decisions)
 
+    @pytest.mark.parametrize("cicy", list(CicyType))
+    def test_literal_oracle(self, cicy):
+        # every clause against its inequality as its template writes it, and
+        # the reason from the first clause that decides, over a box that
+        # reaches every genus cap, both pairs and both sides of 2g-3
+        m, cap = {CicyType.QUINTIC: (2, 35), CicyType.QUARTIC_QUADRIC: (2, 31),
+                  CicyType.BICUBIC: (3, 31),
+                  CicyType.CUBIC_TWO_QUADRICS: (3, 15),
+                  CicyType.FOUR_QUADRICS: (4, 9)}[cicy]
+        forbidden, exceptional = (FORBIDDEN_PAIRS[cicy],
+                                  EXCEPTIONAL_PAIRS.get(cicy))
+        # the exceptional pair decides (accepts) when it holds; every other
+        # clause decides when it fails, with its reason
+        rejections = {"genus-nonnegative": "genus-negative",
+                      "degree-range": "degree-out-of-range",
+                      "genus-degree-bound": "genus-degree-bound-failed",
+                      "genus-cap": "genus-cap-exceeded",
+                      "forbidden-pair-avoided": "forbidden-pair",
+                      "degree-dominates": "degree-too-small"}
+        reasons = set()
+        for g in range(-3, 61):
+            for d in range(-3, 130):
+                literal = [("genus-nonnegative", g >= 0),
+                           ("degree-range", d >= 2 * g - 3)]
+                if exceptional is not None:
+                    literal.append(("exceptional-pair", (d, g) == exceptional))
+                literal += [("genus-degree-bound", 4 * m * g < d ** 2),
+                            ("genus-cap", g < cap),
+                            ("forbidden-pair-avoided", (d, g) != forbidden),
+                            ("degree-dominates", d > 2 * g - 2 or d > g + m)]
+                reason = "accepted"
+                for name, holds in literal:
+                    if holds == (name == "exceptional-pair"):
+                        reason = rejections.get(name, name)
+                        break
+                verdict = stated_conditions(cicy, d, g)
+                assert [(c.name, c.holds) for c in verdict.clauses] == literal
+                assert verdict.reason == reason, (d, g)
+                assert verdict.accept == (reason in ("accepted",
+                                                     "exceptional-pair"))
+                reasons.add(reason)
+        # the box reaches every reason the family can give
+        assert reasons == {"accepted", *rejections.values()} | (
+            set() if exceptional is None else {"exceptional-pair"})
+
 
 class TestDerivedConditions:
     def test_quintic_picks_larger_node_count(self):

@@ -61,9 +61,6 @@ ALLOWED = {
     ("certify.py", "enumerate_region",
      "for g in range(min(g_max, (d_max + 4) // 2) + 1)"):
         "equivalent: the one more genus row has 2g - 3 > d_max, so is empty",
-    ("certify.py", "_Column.stated",
-     "clauses, _DECISIONS[exceptional is not None], strict=False):"):
-        "equivalent: a test pins the lengths equal, so strict never raises",
     ("chern.py", "degeneracy_count","c = total_chern(expr, 3)"):
         "equivalent: a longer series, whose extra term is never read",
     ("cli.py", "run_table", "width = 6 if args.verify else 3"):

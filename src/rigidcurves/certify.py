@@ -29,6 +29,7 @@ from .k3 import (
     knutsen_exists,
     nonspeciality_route,
     _document,
+    _Object,
     _shown,
 )
 
@@ -282,16 +283,6 @@ def derived_conditions(cicy: CicyType, d: int, g: int) -> DerivedVerdict:
     return _Column(cicy, g).derived(d)
 
 
-class _Input(NamedTuple):  # the "input" member of a certificate
-    cicy: CicyType
-    d: int
-    g: int
-
-    def members(self) -> tuple:
-        return (("type", self.cicy.type_string()),
-                ("degrees", self.cicy.degrees), ("d", self.d), ("g", self.g))
-
-
 class Certificate(NamedTuple):
     """Verdicts of both modes for one (family, d, g) input, plus warnings."""
 
@@ -322,7 +313,9 @@ class Certificate(NamedTuple):
 
     def members(self) -> tuple:
         """The members of ``to_dict()``, as ``_document`` reads them."""
-        return (("input", _Input(self.cicy, self.d, self.g)),
+        return (("input", _Object((("type", self.cicy.type_string()),
+                                   ("degrees", self.cicy.degrees),
+                                   ("d", self.d), ("g", self.g)))),
                 ("stated", self.stated), ("derived", self.derived),
                 ("count", _decimal(self.count)), ("warnings", self.warnings))
 
@@ -385,7 +378,7 @@ class _Column:
             f"genus must be nonnegative, got {_shown(g)}" if g < 0
             else f"degree must be positive, got {_shown(d)}" if d < 1
             else f"degree {_shown(d)} below the supported floor 2g-3 = "
-                 f"{_shown(2 * g - 3)}" if d < 2 * g - 3 else None
+                 f"{_shown(self.floor)}" if d < self.floor else None
         )
         if out_of_range is not None:
             return DerivedVerdict(f"out-of-range: {out_of_range}", max(g, 0),
@@ -465,13 +458,11 @@ def enumerate_region(
     (g asc, d asc) order, one at a time from a one-pass iterator (wrap it in
     ``list()`` to reuse it); the bounds are checked at the call."""
     if d_max < 0 or g_max < 0:
-        raise ValueError(
-            f"bounds must be nonnegative, got d_max={d_max}, g_max={g_max}"
-        )
+        raise ValueError(f"bounds must be nonnegative, got d_max="
+                         f"{_shown(d_max)}, g_max={_shown(g_max)}")
     if d_max > ENUMERATION_GUARD:
-        raise ValueError(
-            f"d_max={d_max} exceeds the enumeration guard {ENUMERATION_GUARD}"
-        )
+        raise ValueError(f"d_max={_shown(d_max)} exceeds the enumeration "
+                         f"guard {ENUMERATION_GUARD}")
     # rows with 2g - 3 > d_max are empty
     return (column.certify(d)
             for g in range(min(g_max, (d_max + 3) // 2) + 1)

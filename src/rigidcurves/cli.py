@@ -8,7 +8,7 @@ JSON is exactly ``json.dumps(document, indent=2)``, and every command writes
 it through one writer, ``_member``, from its records' ``members()``; no
 command builds a dict or calls ``to_dict()``.  ``enumerate`` streams
 every format one certificate at a time; memory does not grow with the region.
-It reuses the text of the previous certificate's unchanged records or cells.
+It reuses the text of records and cells it holds from the last certificate.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import functools
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .certify import (
     ENUMERATION_GUARD,
@@ -29,6 +29,7 @@ from .certify import (
     verify_node_table,
 )
 from .chern import ExcessProblem, excess_count, rigid_count
+from .k3 import _Object
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -70,24 +71,18 @@ _SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
 _LABELS: dict[str, str] = {}
 
 
-class _Object(NamedTuple):  # a CLI document that is no library record
-    pairs: tuple
-
-    def members(self) -> tuple:
-        return self.pairs
-
-
 def _member(slots: dict, at: object, value: object, newline: str) -> str:
     """``json.dumps(_document(value), indent=2)`` for a record or a tuple,
     byte for byte, with each line break replaced by ``newline``.  The text
     is kept in slot ``at`` with ``value`` and the slots under it, and reused
-    while ``value`` equals (``==``) the one there.  A scalar member or item is
-    encoded in place; any other has a slot of its own, so only the records
-    that changed are encoded.  Any other type raises ``TypeError``: floats,
-    non-``str`` keys, subclasses of ``str`` or ``int``, and tuples with no
-    ``members()``."""
+    while ``value`` is the very object held there (``is``): records are
+    immutable and the slot keeps its object alive, so reused text is always
+    that of ``value``.  A scalar member or item is encoded in place; any
+    other has a slot of its own, so only the records not held are encoded.
+    Any other type raises ``TypeError``: floats, non-``str`` keys, subclasses
+    of ``str`` or ``int``, and tuples with no ``members()``."""
     held = slots.get(at)
-    if held is not None and held[0] == value:
+    if held is not None and held[0] is value:
         return held[1]
     nested, inner, parts = {} if held is None else held[2], newline + "  ", []
     if type(value) is tuple:
@@ -130,7 +125,6 @@ def _emit_rows(header: list[str], rows: Iterable[list[str]], fmt: str) -> None:
         write(start + sep.join(row) + end)
 
 
-@functools.cache  # its inputs are the node table's degree tuples
 def _dashed(degrees: tuple[int, ...]) -> str:
     return "-".join(map(str, degrees))
 
@@ -178,11 +172,12 @@ def run_enumerate(args: argparse.Namespace) -> int:
     else:
         _emit_rows(["d", "g", "stated", "derived", "embedding", "n", "count",
                     "warnings"], (), args.format)
-        # the cells after d and g, reused while (stated.accept, derived) is ==
+        # the cells after d and g, reused while stated.accept and derived are
+        # the ones held (``is``); a column shares its derived verdicts
         write, (start, sep, end) = sys.stdout.write, _ROW_TEXT[args.format]
         accept = derived = None
         for c in certificates:
-            if c.derived != derived or c.stated.accept != accept:
+            if c.derived is not derived or c.stated.accept is not accept:
                 accept, derived = c.stated.accept, c.derived
                 tail = sep + sep.join(_certificate_row(c)[2:]) + end
             write(f"{start}{c.d}{sep}{c.g}{tail}")

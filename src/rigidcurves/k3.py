@@ -27,6 +27,13 @@ def _document(value: object) -> object:
     return value
 
 
+class _Object(NamedTuple):  # a JSON object that is no library record
+    pairs: tuple
+
+    def members(self) -> tuple:
+        return self.pairs
+
+
 class UnsupportedPolarizationError(ValueError):
     """Half-degree m outside the complete-intersection range {2, 3, 4}."""
 
@@ -77,11 +84,13 @@ class PicardLattice(_LatticeFields):
 
     def __new__(cls, m: int, d: int, g: int) -> "PicardLattice":
         if m < 2:
-            raise ValueError(f"polarization needs H.H = 2m >= 4, got m={m}")
+            raise ValueError(
+                f"polarization needs H.H = 2m >= 4, got m={_shown(m)}")
         if d < 1:
-            raise ValueError(f"degree d = H.C must be positive, got {d}")
+            raise ValueError(
+                f"degree d = H.C must be positive, got {_shown(d)}")
         if g < 0:
-            raise ValueError(f"genus must be nonnegative, got {g}")
+            raise ValueError(f"genus must be nonnegative, got {_shown(g)}")
         return super().__new__(cls, m, d, g)
 
     @property

@@ -38,6 +38,7 @@ from rigidcurves.k3 import (
     DegreeRangeError,
     KnutsenVerdict,
     NonspecialityRoute,
+    PicardLattice,
     RouteResult,
     UnsupportedPolarizationError,
     knutsen_exists,
@@ -350,8 +351,11 @@ class TestCertify:
         (degeneracy_count, ((1,), (10**5000, 1)), InvalidEmbeddingError),
         (excess_bundle, (-(10**5000),), ValueError),
         (total_chern, (BundleExpr(), -(10**5000)), ValueError),
+        (PicardLattice, (-(10**5000), 1, 1), ValueError),
+        (enumerate_region, (CicyType.QUINTIC, 1, -(10**5000)), ValueError),
     ], ids=["route-floor", "knutsen-m", "excess-problem", "rigid-count",
-            "degeneracy-count", "excess-bundle", "total-chern"])
+            "degeneracy-count", "excess-bundle", "total-chern",
+            "picard-lattice", "enumerate-region"])
     def test_errors_keep_their_class_past_the_limit(self, call, args, error):
         with pytest.raises(error, match="-bit integer>"):
             call(*args)

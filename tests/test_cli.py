@@ -235,62 +235,6 @@ class TestEnumerateCommand:
             ],
         }, indent=2) + "\n"
 
-    def test_no_path_mixes_bool_and_int(self):
-        # Equal sub-documents must encode to equal text, and True == 1.
-        types = {}
-
-        def walk(value, path):
-            if isinstance(value, dict):
-                for key, item in value.items():
-                    walk(item, f"{path}/{key}")
-            elif isinstance(value, list):
-                for item in value:
-                    walk(item, f"{path}/*")
-            else:
-                types.setdefault(path, set()).add(type(value))
-
-        for cicy in CicyType:
-            for certificate in enumerate_region(cicy, 60, 25):
-                walk(certificate.to_dict(), "")
-        assert {bool, int} <= set().union(*types.values())
-        assert [p for p, seen in types.items() if {bool, int} <= seen] == []
-
-    def test_members_are_functions_of_their_records(self):
-        # The writer reuses the text at a path while the record there is
-        # equal (==) to the one it held, so equal records at a path must
-        # encode alike: NamedTuple == is tuple equality, and True == 1.
-        encoded, nodes, paths = {}, 0, set()
-        scalars = (str, int, bool, type(None))  # encoded in place
-
-        def walk(record, path, newline):
-            nonlocal nodes
-            inner = newline + "  "
-            for key, value in record.members():
-                if type(value) in scalars:
-                    continue
-                at = f"{path}.{key}"
-                held = [(at, value, inner)]
-                if type(value) is tuple:
-                    held += [(f"{at}[{i}]", item, inner + "  ")
-                             for i, item in enumerate(value)
-                             if type(item) not in scalars]
-                for node, item, indent in held:
-                    text = json.dumps(_document(item), indent=2).replace(
-                        "\n", indent)
-                    assert encoded.setdefault((node, item), text) == text
-                    nodes += 1
-                    paths.add(node)
-                    if type(item) is not tuple:
-                        walk(item, node, indent)
-
-        for cicy in CicyType:
-            for certificate in enumerate_region(cicy, 60, 25):
-                walk(certificate, "", "\n    ")
-        assert {".input", ".stated.clauses[6]", ".derived.chosen",
-                ".derived.rows[2].knutsen", ".derived.rows[0].route",
-                ".derived.chosen.route"} <= paths
-        assert len(encoded) < nodes // 4  # records do repeat
-
     def test_json_builds_a_member_only_when_its_record_changes(
             self, monkeypatch):
         builds = {Clause: 0, DerivedVerdict: 0}
@@ -775,3 +719,22 @@ class TestMemberWriter:
                          Reading(Reading(value))):
             with pytest.raises(TypeError):
                 _member({}, None, document, "\n")
+
+    # A slot reuses its text only for the very record it holds: records that
+    # are equal (==) may still encode differently, since True == 1 and a
+    # record equals a record of another type with equal fields.
+    @pytest.mark.parametrize("first, second", [
+        (Pairs((("a", True),)), Pairs((("a", 1),))),
+        (Pairs((("a", 1),)), Pairs((("a", True),))),
+        (Pairs((("a", (True,)),)), Pairs((("a", (1,)),))),
+        (Pairs((("a", Reading(False)),)), Pairs((("a", Reading(0)),))),
+        (Pairs((("value", 1),)), Reading((("value", 1),))),
+    ], ids=["true-then-1", "1-then-true", "in-a-list", "in-a-record",
+            "other-record-type"])
+    def test_equal_records_encode_from_their_own_members(self, first,
+                                                          second):
+        assert first == second
+        slots = {}
+        for record in (first, second, first):
+            assert _member(slots, None, record, "\n") == json.dumps(
+                _document(record), indent=2)

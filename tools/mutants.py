@@ -17,7 +17,10 @@ suite runs with ``pytest -x``, less the contracted failure
 (``test_criterion_5_lattice_identities``) and the flat-memory tests.  A
 mutant survives when the suite passes.  ``ALLOWED`` names the survivors
 known to be equivalent, or to change only message text or speed, each with
-its reason.  The exit code is 1 when any other mutant survives, else 0.
+its reason.  An ``ALLOWED`` entry whose function is in the run's scope but
+that no mutant makes is stale: it is reported, under ``--list`` too, and
+counted as unexpected.  The exit code is 1 when any other mutant survives or
+any entry is stale, else 0.
 ``--only`` takes function names (``knutsen_exists``, ``Certificate.warnings``,
 ``<module>`` for top-level code), optionally as ``file.py:name``.
 """
@@ -123,6 +126,10 @@ def _skipped(tree: ast.Module) -> set[int]:
     return {id(n) for root in roots for n in ast.walk(root)}
 
 
+def _in_scope(file: str, unit: str, only: set[str] | None) -> bool:
+    return only is None or bool({unit, f"{file}:{unit}"} & only)
+
+
 def mutants(path: Path, only: set[str] | None):
     """(unit, description, mutated source) for each mutant of one file."""
     source = path.read_text()
@@ -130,7 +137,7 @@ def mutants(path: Path, only: set[str] | None):
     tree = ast.parse(source)
     skipped = _skipped(tree)
     for unit, nodes in _units(tree):
-        if only is not None and not {unit, f"{path.name}:{unit}"} & only:
+        if not _in_scope(path.name, unit, only):
             continue
         for node in (n for root in nodes for n in ast.walk(root)
                      if isinstance(n, ast.expr) and id(n) not in skipped):
@@ -173,12 +180,18 @@ def main(argv: list[str] | None = None) -> int:
     only = set(args.only) if args.only else None
     found = [(path, *mutant) for path in sorted(PACKAGE.glob("*.py"))
              for mutant in mutants(path, only)]
+    made = {(path.name, unit, description)
+            for path, unit, description, _ in found}
+    stale = [key for key in ALLOWED
+             if key not in made and _in_scope(*key[:2], only)]
+    for file, unit, description in stale:
+        print(f"{file}:{unit}: {description}  [STALE: no mutant makes it]")
     if args.list:
         for path, unit, description, _ in found:
             print(f"{path.name}:{unit}: {description}")
-        print(f"{len(found)} mutants")
-        return 0
-    start, unexpected = time.monotonic(), 0
+        print(f"{len(found)} mutants, {len(stale)} stale allowances")
+        return 1 if stale else 0
+    start, unexpected = time.monotonic(), len(stale)
     with tempfile.TemporaryDirectory(prefix="mutants-") as workdir:
         copy_root = Path(workdir) / "repo"
         shutil.copytree(ROOT, copy_root, ignore=shutil.ignore_patterns(
@@ -193,8 +206,8 @@ def main(argv: list[str] | None = None) -> int:
                 unexpected += reason is None
                 status = "SURVIVED" if reason is None else f"allowed: {reason}"
             print(f"{path.name}:{unit}: {description}  [{status}]", flush=True)
-    print(f"{len(found)} mutants, {unexpected} unexpected survivors, "
-          f"{time.monotonic() - start:.0f} s")
+    print(f"{len(found)} mutants, {unexpected} unexpected survivors or "
+          f"stale allowances, {time.monotonic() - start:.0f} s")
     return 1 if unexpected else 0
 
 

@@ -16,6 +16,7 @@ an accepted certificate is C(n - 2, g) for the chosen embedding row.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Iterator
 from enum import Enum
@@ -26,9 +27,9 @@ from .k3 import (
     KnutsenVerdict,
     NonspecialityRoute,
     RouteResult,
-    knutsen_exists,
     nonspeciality_route,
     _document,
+    _knutsen,
     _Object,
     _shown,
 )
@@ -38,6 +39,14 @@ ENUMERATION_GUARD = 10_000
 WARN_DISAGREEMENT = "stated-derived-disagreement"
 WARN_EXTRAPOLATED = "knutsen-extrapolated"
 WARN_TABLE_DISCREPANCY = "node-table-discrepancy"
+# ``Certificate.warnings`` by its three flags, built once and shared
+_WARNINGS = {flags: tuple(itertools.compress(
+    (WARN_DISAGREEMENT, WARN_EXTRAPOLATED, WARN_TABLE_DISCREPANCY), flags))
+    for flags in itertools.product((False, True), repeat=3)}
+
+# ``Cls(*fields)`` for a NamedTuple whose ``__new__`` is the generated one,
+# without its Python frame; a record with a ``__new__`` of its own needs that
+_record = tuple.__new__
 
 
 class CicyType(Enum):
@@ -302,20 +311,14 @@ class Certificate(NamedTuple):
         for a in self.derived.rows:
             extrapolated |= a.knutsen.extrapolated
             discrepant |= a.viable and a.row in _DISCREPANT_ROWS
-        warnings = []
-        if self.stated.accept != self.derived.accept:
-            warnings.append(WARN_DISAGREEMENT)
-        if extrapolated:
-            warnings.append(WARN_EXTRAPOLATED)
-        if discrepant:
-            warnings.append(WARN_TABLE_DISCREPANCY)
-        return tuple(warnings)
+        return _WARNINGS[self.stated.accept != self.derived.accept,
+                         extrapolated, discrepant]
 
     def members(self) -> tuple:
         """The members of ``to_dict()``, as ``_document`` reads them."""
-        return (("input", _Object((("type", self.cicy.type_string()),
-                                   ("degrees", self.cicy.degrees),
-                                   ("d", self.d), ("g", self.g)))),
+        return (("input", _record(_Object, ((("type", self.cicy.type_string()),
+                                             ("degrees", self.cicy.degrees),
+                                             ("d", self.d), ("g", self.g)),))),
                 ("stated", self.stated), ("derived", self.derived),
                 ("count", _decimal(self.count)), ("warnings", self.warnings))
 
@@ -359,18 +362,20 @@ class _Column:
             self.g, self.case)
         (nonnegative, capped, dominates), (four_m, four_mg) = (
             self.clauses, self.bound)
-        clauses = (nonnegative, Clause("degree-range", d >= self.floor,
-                                       "d=%s >= 2g-3=%s", (d, self.floor)),
+        clauses = (nonnegative, _record(Clause, (
+                       "degree-range", d >= self.floor, "d=%s >= 2g-3=%s",
+                       (d, self.floor))),
                    *(() if exceptional is None
                      else (is_exceptional[(d, g) == exceptional],)),
-                   Clause("genus-degree-bound", four_mg < d * d,
-                          "%s*g=%s < d^2=%s", (four_m, four_mg, d * d)),
+                   _record(Clause, (
+                       "genus-degree-bound", four_mg < d * d,
+                       "%s*g=%s < d^2=%s", (four_m, four_mg, d * d))),
                    capped, avoided[(d, g) != forbidden],
                    dominates[d > self.threshold])
         for clause, (decides, reason) in zip(clauses, self.decisions):
             if clause.holds == decides:
-                return StatedVerdict(reason, clauses)
-        return StatedVerdict("accepted", clauses)
+                return _record(StatedVerdict, (reason, clauses))
+        return _record(StatedVerdict, ("accepted", clauses))
 
     def derived(self, d: int) -> DerivedVerdict:
         g = self.g
@@ -383,9 +388,10 @@ class _Column:
         if out_of_range is not None:
             return DerivedVerdict(f"out-of-range: {out_of_range}", max(g, 0),
                                   None, ())
-        key = tuple([(knutsen_exists(m, d, g), nonspeciality_route(m, d, g))
-                     for _, m, _, _ in self.rows])
-        verdict = self.verdicts.get(key)
+        key = []  # each row's m is in the table and d >= 1, g >= 0 hold
+        for _, m, _, _ in self.rows:
+            key.append((_knutsen(m, d, g), nonspeciality_route(m, d, g)))
+        verdict = self.verdicts.get(key := tuple(key))
         if verdict is not None:
             return verdict
         rows, chosen = [], None
@@ -405,8 +411,8 @@ class _Column:
         return self.verdicts[key]
 
     def certify(self, d: int) -> Certificate:
-        return Certificate(self.cicy, d, self.g, self.stated(d),
-                           self.derived(d))
+        return _record(Certificate, (self.cicy, d, self.g, self.stated(d),
+                                     self.derived(d)))
 
 
 def certify(cicy: CicyType, d: int, g: int) -> Certificate:

@@ -159,6 +159,10 @@ def knutsen_exists(m: int, d: int, g: int) -> KnutsenVerdict:
         raise ValueError(f"degree must be positive, got {_shown(d)}")
     if g < 0:
         raise ValueError(f"genus must be nonnegative, got {_shown(g)}")
+    return _knutsen(m, d, g)
+
+
+def _knutsen(m: int, d: int, g: int) -> KnutsenVerdict:  # past the checks
     extrapolated = d < 2 * g - 2
     if _EXCEPTIONAL_PAIRS.get(m) == (d, g):
         return _EXCEPTIONAL[extrapolated]

@@ -6,15 +6,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rigidcurves.certify import (
+    Certificate,
     CicyType,
     Clause,
     DerivedVerdict,
     EmbeddingRow,
+    StatedVerdict,
     WARN_DISAGREEMENT,
     WARN_EXTRAPOLATED,
     WARN_TABLE_DISCREPANCY,
     _CLAUSE_DECISIONS,
     _DECISIONS,
+    _DISCREPANT_ROWS,
+    _WARNINGS,
     certify,
     derived_conditions,
     enumerate_region,
@@ -41,6 +45,7 @@ from rigidcurves.k3 import (
     PicardLattice,
     RouteResult,
     UnsupportedPolarizationError,
+    _Object,
     knutsen_exists,
     nonspeciality_route,
 )
@@ -80,6 +85,23 @@ def floor_edges(test):
             for d in (2 * g - 3, 2 * g - 4):
                 test = example(cicy, d, g)(test)
     return test
+
+
+def count_builds(monkeypatch, classes, built):
+    """Append to ``built`` each record of ``classes`` built from here on,
+    by its constructor or by ``_record``, which skips ``__new__``."""
+    for cls in classes:
+        def new(klass, *args, _new=cls.__new__, **kwargs):
+            built.append(_new(klass, *args, **kwargs))
+            return built[-1]
+        monkeypatch.setattr(cls, "__new__", staticmethod(new))
+
+    def record(klass, fields):
+        made = tuple.__new__(klass, fields)
+        if klass in classes:
+            built.append(made)
+        return made
+    monkeypatch.setattr(sys.modules["rigidcurves.certify"], "_record", record)
 
 
 class TestCicyType:
@@ -464,11 +486,7 @@ class TestSharedRecords:
         # a few fixed values, built at import; a sweep builds none of them,
         # and each one it returns equals a fresh record for its point
         built = []
-        for cls in (KnutsenVerdict, RouteResult, Clause):
-            def new(klass, *args, _new=cls.__new__, **kwargs):
-                built.append(_new(klass, *args, **kwargs))
-                return built[-1]
-            monkeypatch.setattr(cls, "__new__", staticmethod(new))
+        count_builds(monkeypatch, (KnutsenVerdict, RouteResult, Clause), built)
         certificates = [certificate for cicy in CicyType
                         for certificate in enumerate_region(cicy, 40, 8)]
         monkeypatch.undo()
@@ -511,11 +529,8 @@ class TestSharedRecords:
         module = sys.modules["rigidcurves.certify"]
         for cicy in CicyType:
             built, counted = [], []
-            for cls in (Clause, DerivedVerdict, RouteResult):
-                def new(klass, *args, _new=cls.__new__, **kwargs):
-                    built.append(_new(klass, *args, **kwargs))
-                    return built[-1]
-                monkeypatch.setattr(cls, "__new__", staticmethod(new))
+            count_builds(monkeypatch, (Clause, DerivedVerdict, RouteResult),
+                         built)
 
             def count(n, ell):
                 counted.append((n, ell))
@@ -567,6 +582,52 @@ class TestSharedRecords:
                 certify(cicy, d, g)
                 assert counted == []
         assert total > 0
+
+    def test_fast_built_records_equal_constructed_ones(self, monkeypatch):
+        # over the box of the stated literal oracle, each record that a point
+        # builds with ``_record`` (the degree-range and genus-degree-bound
+        # clauses, the stated verdict, the certificate and its input object)
+        # has the type and the fields its constructor gives
+        built = []
+
+        def record(klass, fields):
+            built.append(tuple.__new__(klass, fields))
+            return built[-1]
+        monkeypatch.setattr(sys.modules["rigidcurves.certify"], "_record",
+                            record)
+        points = 0
+        for cicy in CicyType:
+            for g in range(-3, 61):
+                for d in range(-3, 130):
+                    certify(cicy, d, g).members()
+                    points += 1
+        monkeypatch.undo()
+        assert Counter(type(record) for record in built) == {
+            Clause: 2 * points, StatedVerdict: points, Certificate: points,
+            _Object: points}
+        for made in built:
+            fresh = type(made)(*made)
+            assert type(fresh) is type(made) and fresh == made
+
+    def test_warnings_are_shared(self):
+        # Certificate.warnings returns one of eight tuples built at import:
+        # each equals the tuple built from its flags, in their order
+        names = (WARN_DISAGREEMENT, WARN_EXTRAPOLATED, WARN_TABLE_DISCREPANCY)
+        assert len(_WARNINGS) == len(set(_WARNINGS.values())) == 8
+        for flags, warnings in _WARNINGS.items():
+            assert warnings == tuple([name for name, on in zip(names, flags)
+                                      if on])
+        reached = set()
+        for cicy in CicyType:
+            for c in enumerate_region(cicy, 60, 12):
+                rows = c.derived.rows
+                flags = (c.stated.accept != c.derived.accept,
+                         any(a.knutsen.extrapolated for a in rows),
+                         any(a.viable and a.row in _DISCREPANT_ROWS
+                             for a in rows))
+                assert c.warnings is _WARNINGS[flags]
+                reached.add(flags)
+        assert len(reached) == 6  # as on the stated literal oracle's box
 
     def test_single_calls_return_new_records(self):
         for call in (certify, stated_conditions, derived_conditions):

@@ -268,6 +268,28 @@ class TestEnumerateCommand:
         assert builds == {Clause: clause_changes, DerivedVerdict: changes}
         assert details == clause_changes
 
+    def test_json_encodes_warnings_once_per_change(self, monkeypatch):
+        # Certificate.warnings returns shared tuples, so the writer encodes a
+        # certificate's warnings only where they differ from the previous
+        # certificate's
+        encodes = changes = 0
+
+        def counted(slots, at, value, newline, member=_member):
+            nonlocal encodes
+            held = slots.get(at)
+            encodes += at == "warnings" and (held is None
+                                             or held[0] is not value)
+            return member(slots, at, value, newline)
+        monkeypatch.setattr(sys.modules["rigidcurves.cli"], "_member", counted)
+        for cicy in CicyType:
+            code, _, _ = run_cli(["enumerate", "--type", cicy.type_string(),
+                                  "--d-max", "40", "--g-max", "8",
+                                  "--format", "json"])
+            assert code == 0
+            warnings = [c.warnings for c in enumerate_region(cicy, 40, 8)]
+            changes += 1 + sum(a != b for a, b in zip(warnings, warnings[1:]))
+        assert encodes == changes <= 90
+
     @pytest.mark.parametrize("fmt, start, sep, end", [
         ("csv", "", ",", "\n"), ("markdown", "| ", " | ", " |\n")])
     def test_rows_match_certificate_rows_byte_for_byte(self, fmt, start, sep,

@@ -1,3 +1,4 @@
+import math
 import sys
 from collections import Counter
 
@@ -74,6 +75,43 @@ EXCEPTIONAL_PAIRS = {
     CicyType.BICUBIC: (3, 1),
     CicyType.CUBIC_TWO_QUADRICS: (3, 1),
     CicyType.FOUR_QUADRICS: (4, 1),
+}
+
+# the kinds of row the derived literal oracle's box reaches, as (failure,
+# route, Knutsen clause, extrapolated, lattice status), and those each family
+# does not reach
+_FAIL, _LATTICE, _RR = "fail", "lattice-bound", "riemann-roch"
+_BOUND, _FAILED = "genus-degree-bound", "genus-degree-bound-failed"
+_UNMET, _INCONCLUSIVE, _NONSPECIAL = ("hypotheses-not-met",
+                                      "applies-and-inconclusive",
+                                      "applies-and-nonspecial")
+ROW_KINDS = {
+    ("k3-existence", _FAIL, _FAILED, False, _UNMET),
+    ("k3-existence", _FAIL, _FAILED, True, _UNMET),
+    ("k3-existence", _RR, "forbidden-pair", False, None),
+    ("k3-existence", _RR, _FAILED, False, None),
+    ("node-margin", _FAIL, _BOUND, False, _UNMET),
+    ("node-margin", _FAIL, _BOUND, True, _INCONCLUSIVE),
+    ("node-margin", _LATTICE, _BOUND, False, _NONSPECIAL),
+    ("node-margin", _LATTICE, _BOUND, True, _NONSPECIAL),
+    ("node-margin", _RR, _BOUND, False, None),
+    ("nonspeciality", _FAIL, _BOUND, False, _UNMET),
+    ("nonspeciality", _FAIL, _BOUND, True, _INCONCLUSIVE),
+    (None, _LATTICE, _BOUND, False, _NONSPECIAL),
+    (None, _LATTICE, _BOUND, True, _NONSPECIAL),
+    (None, _RR, "exceptional-pair", False, None),
+    (None, _RR, _BOUND, False, None),
+}
+_NO_MARGIN_FAIL = {("node-margin", _FAIL, _BOUND, False, _UNMET),
+                   ("node-margin", _FAIL, _BOUND, True, _INCONCLUSIVE)}
+MISSING_KINDS = {
+    CicyType.QUINTIC: _NO_MARGIN_FAIL,
+    CicyType.BICUBIC: _NO_MARGIN_FAIL,
+    CicyType.FOUR_QUADRICS: {
+        ("node-margin", _FAIL, _BOUND, False, _UNMET),
+        ("nonspeciality", _FAIL, _BOUND, True, _INCONCLUSIVE),
+        (None, _LATTICE, _BOUND, False, _NONSPECIAL),
+        (None, _LATTICE, _BOUND, True, _NONSPECIAL)},
 }
 
 
@@ -327,6 +365,112 @@ class TestDerivedConditions:
     def test_construction_facts_recorded(self):
         verdict = derived_conditions(CicyType.QUINTIC, 6, 2)
         assert "k-trivial-threefold" in verdict.assumed
+
+    @pytest.mark.parametrize("cicy", list(CicyType))
+    def test_literal_oracle(self, cicy):
+        # the hypothesis chain written out row by row over the stated literal
+        # oracle's box: Knutsen's criterion as the k3 docstring states it, the
+        # node margin, the route, the chosen row, the count, the warnings and
+        # the out-of-range reasons; only the stated verdict is the program's
+        # (its own oracle is TestStatedConditions::test_literal_oracle)
+        rows = {  # (K3 type, n, m, tabulated n disagrees with Porteous)
+            CicyType.QUINTIC: [((4, 1), 16, 2, False), ((3, 2), 36, 3, False)],
+            CicyType.QUARTIC_QUADRIC: [((4, 1, 1), 4, 2, False),
+                                       ((3, 2, 1), 18, 3, False),
+                                       ((2, 2, 2), 32, 4, False)],
+            CicyType.BICUBIC: [((3, 2, 1), 12, 3, False),
+                               ((2, 2, 2), 32, 4, True)],
+            CicyType.CUBIC_TWO_QUADRICS: [((3, 2, 1, 1), 6, 3, False),
+                                          ((2, 2, 2, 1), 16, 4, False)],
+            CicyType.FOUR_QUADRICS: [((2, 2, 2, 1, 1), 8, 4, False)],
+        }[cicy]
+        facts = ("k-trivial-threefold", "linear-system-universality",
+                 "node-smoothing-section-exists")
+        kinds = set()  # (failure, route, Knutsen clause, extrapolated, status)
+        for g in range(-3, 61):
+            for d in range(-3, 130):
+                certificate = certify(cicy, d, g)
+                verdict = certificate.derived
+                out_of_range = (
+                    f"genus must be nonnegative, got {g}" if g < 0
+                    else f"degree must be positive, got {d}" if d < 1
+                    else f"degree {d} below the supported floor 2g-3 = "
+                         f"{2 * g - 3}" if d < 2 * g - 3 else None)
+                if out_of_range is not None:
+                    assert (verdict.reason, verdict.ell, verdict.chosen,
+                            verdict.rows, verdict.assumed) == (
+                        "out-of-range: " + out_of_range, max(g, 0), None, (),
+                        ())
+                    assert certificate.warnings == (
+                        (WARN_DISAGREEMENT,) if certificate.stated.accept
+                        else ())
+                    continue
+                extrapolated = d < 2 * g - 2
+                expected, chosen, discrepant = [], None, False
+                for k3, n, m, disagrees in rows:
+                    if (d, g) == {3: (3, 1), 4: (4, 1)}.get(m):
+                        clause = "exceptional-pair"
+                    elif not 4 * m * g < d * d:
+                        clause = "genus-degree-bound-failed"
+                    elif (d, g) == (2 * m + 1, m + 1):
+                        clause = "forbidden-pair"
+                    else:
+                        clause = "genus-degree-bound"
+                    exists = clause in ("exceptional-pair",
+                                        "genus-degree-bound")
+                    margin = n >= g + 2
+                    floor = max(2 * g - 4, m + g)
+                    if d >= 2 * g - 1:
+                        route, lattice = "riemann-roch", None
+                    elif g <= m + 2:
+                        route, lattice = "fail", (
+                            "hypotheses-not-met",
+                            f"requires m >= 2 and g > m + 2, got m={m}, "
+                            f"g={g}")
+                    elif d > floor:
+                        route, lattice = "lattice-bound", (
+                            "applies-and-nonspecial",
+                            f"d={d} > max(2g-4, m+g) = {floor}")
+                    else:
+                        route, lattice = "fail", (
+                            "applies-and-inconclusive",
+                            f"d={d} <= max(2g-4, m+g) = {floor}")
+                    failure = ("k3-existence" if not exists
+                               else "node-margin" if not margin
+                               else "nonspeciality" if route == "fail"
+                               else None)
+                    count = None if failure else math.comb(n - 2, g)
+                    expected.append((k3, n, m, exists, clause, extrapolated,
+                                     margin, route, lattice, count, failure))
+                    kinds.add((failure, route, clause, extrapolated,
+                               lattice and lattice[0]))
+                    if failure is None:
+                        discrepant |= disagrees
+                        # the largest n; of equal ones, the first in order
+                        if chosen is None or n > expected[chosen][1]:
+                            chosen = len(expected) - 1
+                assert [(a.row.k3_degrees, a.row.nodes, a.row.m,
+                         a.knutsen.exists, a.knutsen.clause,
+                         a.knutsen.extrapolated, a.node_margin_ok,
+                         a.route.route.value,
+                         a.route.lattice and (a.route.lattice.status.value,
+                                              a.route.lattice.reason),
+                         a.count, a.failure) for a in verdict.rows] == expected
+                accept = chosen is not None
+                assert (verdict.reason, verdict.ell, verdict.assumed) == (
+                    "accepted" if accept else "no-viable-embedding", g, facts)
+                assert verdict.chosen is (verdict.rows[chosen] if accept
+                                          else None)
+                assert certificate.count == (expected[chosen][9] if accept
+                                             else None)
+                flags = (certificate.stated.accept != accept, extrapolated,
+                         discrepant)
+                assert certificate.warnings == tuple(name for name, on in zip(
+                    (WARN_DISAGREEMENT, WARN_EXTRAPOLATED,
+                     WARN_TABLE_DISCREPANCY), flags) if on)
+        # the box reaches 15 row kinds; (4,2) and (3,2,2) reach all of them
+        assert len(ROW_KINDS) == 15
+        assert kinds == ROW_KINDS - MISSING_KINDS.get(cicy, set())
 
 
 class TestCertify:

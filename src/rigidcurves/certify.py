@@ -22,14 +22,14 @@ from collections.abc import Iterator
 from enum import Enum
 from typing import NamedTuple
 
-from .chern import degeneracy_count, rigid_count
+from .chern import _degrees, degeneracy_count, rigid_count
 from .k3 import (
     KnutsenVerdict,
     NonspecialityRoute,
     RouteResult,
+    knutsen_exists,
     nonspeciality_route,
     _document,
-    _knutsen,
     _Object,
     _shown,
 )
@@ -101,8 +101,8 @@ class EmbeddingRow(_RowFields):
         product = math.prod(k3_degrees)
         if product % 2 != 0 or product // 2 not in (2, 3, 4):
             raise ValueError(
-                f"K3 type {k3_degrees} has degree {product}, "
-                "expected 4, 6 or 8"
+                f"K3 type {_degrees(k3_degrees)} has degree "
+                f"{_shown(product)}, expected 4, 6 or 8"
             )
         return super().__new__(cls, cicy, k3_degrees, nodes)
 
@@ -329,8 +329,8 @@ class _Column:
     """What the certificates of ``cicy`` at genus ``g`` share, built once: the
     clauses that do not read ``d``, the numbers the rest compare ``d`` against
     (2g-3, 4m and 4mg, min(2g-2, g+m)) and the decisions in clause order; from
-    the first ``derived``, each row's m, margin and count, and the verdicts by
-    their (knutsen, route) pairs."""
+    the first ``derived``, each row's m, margin, count and routes, and the
+    verdicts by route index and each row's Knutsen verdict."""
 
     def __init__(self, cicy: CicyType, g: int) -> None:
         self.cicy, self.g, self.case = cicy, g, _STATED_CASES[cicy]
@@ -349,12 +349,17 @@ class _Column:
         self.verdicts: dict[tuple, DerivedVerdict] = {}
 
     @functools.cached_property
-    def rows(self) -> list:  # (row, m, node margin, count); none below genus 0
+    def rows(self) -> list:  # (row, m, margin, count, routes), for g >= 0
         rows, g = [], self.g
-        for row in _FAMILY_ROWS[self.cicy] if g >= 0 else ():
-            margin = row.nodes >= g + 2
-            rows.append((row, row.m, margin, rigid_count(
-                row.nodes, g) if margin else None))
+        for row in _FAMILY_ROWS[self.cicy]:
+            m, margin = row.m, row.nodes >= g + 2
+            # its routes at 2g-3, 2g-2 (one record if equal) and from 2g-1 on
+            routes = [nonspeciality_route(m, d, g)
+                      for d in range(self.floor, self.floor + 3)]
+            if routes[1] == routes[0]:
+                routes[1] = routes[0]
+            rows.append((row, m, margin, rigid_count(row.nodes, g) if margin
+                         else None, routes))
         return rows
 
     def stated(self, d: int) -> StatedVerdict:
@@ -378,30 +383,31 @@ class _Column:
         return _record(StatedVerdict, ("accepted", clauses))
 
     def derived(self, d: int) -> DerivedVerdict:
-        g = self.g
+        g, at = self.g, d - self.floor
         out_of_range = (
             f"genus must be nonnegative, got {_shown(g)}" if g < 0
             else f"degree must be positive, got {_shown(d)}" if d < 1
             else f"degree {_shown(d)} below the supported floor 2g-3 = "
-                 f"{_shown(self.floor)}" if d < self.floor else None
+                 f"{_shown(self.floor)}" if at < 0 else None
         )
         if out_of_range is not None:
             return DerivedVerdict(f"out-of-range: {out_of_range}", max(g, 0),
                                   None, ())
-        key = []  # each row's m is in the table and d >= 1, g >= 0 hold
-        for _, m, _, _ in self.rows:
-            key.append((_knutsen(m, d, g), nonspeciality_route(m, d, g)))
+        key = []  # each row's Knutsen verdict, then the route index
+        for _, m, _, _, _ in self.rows:
+            key.append(knutsen_exists(m, d, g))
+        key.append(at := at if at < 2 else 2)  # 0 at 2g-3, 1 at 2g-2
         verdict = self.verdicts.get(key := tuple(key))
         if verdict is not None:
             return verdict
         rows, chosen = [], None
-        for (row, _, margin, count), (knutsen, route) in zip(self.rows, key):
+        for (row, _, margin, count, routes), knutsen in zip(self.rows, key):
             failure = ("k3-existence" if not knutsen.exists
                        else "node-margin" if not margin
-                       else "nonspeciality"
-                       if route.route is NonspecialityRoute.FAIL else None)
+                       else "nonspeciality" if routes[at].route
+                       is NonspecialityRoute.FAIL else None)
             viable = failure is None
-            rows.append(RowAssessment(row, knutsen, margin, route,
+            rows.append(RowAssessment(row, knutsen, margin, routes[at],
                                       count if viable else None, failure))
             # a later row must have more nodes: the first of equal rows wins
             if viable and (chosen is None or row.nodes > chosen.row.nodes):

@@ -159,10 +159,6 @@ def knutsen_exists(m: int, d: int, g: int) -> KnutsenVerdict:
         raise ValueError(f"degree must be positive, got {_shown(d)}")
     if g < 0:
         raise ValueError(f"genus must be nonnegative, got {_shown(g)}")
-    return _knutsen(m, d, g)
-
-
-def _knutsen(m: int, d: int, g: int) -> KnutsenVerdict:  # past the checks
     extrapolated = d < 2 * g - 2
     if _EXCEPTIONAL_PAIRS.get(m) == (d, g):
         return _EXCEPTIONAL[extrapolated]
@@ -218,15 +214,10 @@ def lattice_nonspecial(m: int, d: int, g: int) -> NonspecialVerdict:
             f"g={_shown(g)}",
         )
     floor = max(2 * g - 4, m + g)
-    if d > floor:
-        return NonspecialVerdict(
-            NonspecialStatus.NONSPECIAL,
-            f"d={_shown(d)} > max(2g-4, m+g) = {_shown(floor)}",
-        )
+    status, sign = ((NonspecialStatus.NONSPECIAL, ">") if d > floor
+                    else (NonspecialStatus.INCONCLUSIVE, "<="))
     return NonspecialVerdict(
-        NonspecialStatus.INCONCLUSIVE,
-        f"d={_shown(d)} <= max(2g-4, m+g) = {_shown(floor)}",
-    )
+        status, f"d={_shown(d)} {sign} max(2g-4, m+g) = {_shown(floor)}")
 
 
 class NonspecialityRoute(Enum):

@@ -17,6 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
+from .k3 import _shown
+
 Rational = Union[int, Fraction]
 
 
@@ -55,15 +57,15 @@ class TruncatedSeries(_SeriesFields):
         cls, order: int, coeffs: Sequence[Rational]
     ) -> "TruncatedSeries":
         if order < 0:
-            raise ValueError(f"order must be nonnegative, got {order}")
+            raise ValueError(f"order must be nonnegative, got {_shown(order)}")
         # exact type tests, inline: isinstance goes through ABCMeta, and a
         # call per coefficient costs a third of building its Fraction
         coeffs = tuple([c if type(c) is Fraction else Fraction(c)
                         if type(c) is int else _exact(c) for c in coeffs])
         if len(coeffs) != order + 1:
             raise ValueError(
-                f"order {order} needs {order + 1} coefficients, "
-                f"got {len(coeffs)}"
+                f"order {_shown(order)} needs {_shown(order + 1)} "
+                f"coefficients, got {len(coeffs)}"
             )
         return super().__new__(cls, order, coeffs)
 
@@ -82,7 +84,7 @@ class TruncatedSeries(_SeriesFields):
 
     def coefficient(self, k: int) -> Fraction:
         if not 0 <= k <= self.order:
-            raise ValueError(f"degree {k} outside 0..{self.order}")
+            raise ValueError(f"degree {_shown(k)} outside 0..{self.order}")
         return self.coeffs[k]
 
     def is_one(self) -> bool:

@@ -182,6 +182,19 @@ class TestNodeTable:
         with pytest.raises(ValueError):
             EmbeddingRow(CicyType.QUINTIC, (3, 1), 2)  # odd degree product
 
+    @pytest.mark.parametrize("k3, message", [
+        ((10**5000, 1), "K3 type (<16610-bit integer>, 1) has degree "
+                        "<16610-bit integer>, expected 4, 6 or 8"),
+        ((5,), "K3 type (5,) has degree 5, expected 4, 6 or 8"),
+        ((5, 2), "K3 type (5, 2) has degree 10, expected 4, 6 or 8"),
+    ], ids=["past-the-limit", "one-degree", "two-degrees"])
+    def test_row_messages(self, k3, message):
+        # past the int-to-str limit the message names sign and bit length,
+        # where it carried Python's "Exceeds the limit" text
+        with pytest.raises(ValueError) as raised:
+            EmbeddingRow(CicyType.QUINTIC, k3, 3)
+        assert str(raised.value) == message
+
 
 class TestStatedConditions:
     def test_quintic_generic_accept(self):
@@ -640,7 +653,7 @@ class TestSharedRecords:
                 or type(record) is RouteResult and record.lattice is None
                 or type(record) is Clause and record.name in pair_clauses
                 ] == []
-        # the count sees what is still built per call
+        # the count sees what is still built per column or point
         assert {type(record) for record in built} == {RouteResult, Clause}
         exists = {"exceptional-pair": True, "genus-degree-bound": True,
                   "genus-degree-bound-failed": False, "forbidden-pair": False}
@@ -650,6 +663,8 @@ class TestSharedRecords:
                 clause = a.knutsen.clause
                 assert a.knutsen == KnutsenVerdict(exists[clause], clause,
                                                    d < 2 * g - 2)
+                # a column holds its routes: each equals a fresh one
+                assert a.route == nonspeciality_route(a.row.m, d, g)
                 if d >= 2 * g - 1:
                     assert a.route == RouteResult(None)
             clauses = {c.name: c for c in certificate.stated.clauses}
@@ -667,19 +682,24 @@ class TestSharedRecords:
     def test_each_column_builds_its_constants_once(self, monkeypatch):
         # enumerate_region walks d through one column per genus: the column
         # builds the clauses that do not read d, each row's count, and one
-        # derived verdict per distinct (knutsen, route) of its rows; a point
-        # builds its degree-range and genus-degree-bound clauses, and the
-        # lattice routes below d = 2g - 1
+        # derived verdict per distinct (knutsen, route) of its rows, and each
+        # row's routes at d = 2g - 3 and 2g - 2, one record where equal; a
+        # point builds its degree-range and genus-degree-bound clauses
         module = sys.modules["rigidcurves.certify"]
         for cicy in CicyType:
-            built, counted = [], []
+            built, counted, routed = [], [], []
             count_builds(monkeypatch, (Clause, DerivedVerdict, RouteResult),
                          built)
 
             def count(n, ell):
                 counted.append((n, ell))
                 return rigid_count(n, ell)
+
+            def route(m, d, g):
+                routed.append((m, d, g))
+                return nonspeciality_route(m, d, g)
             monkeypatch.setattr(module, "rigid_count", count)
+            monkeypatch.setattr(module, "nonspeciality_route", route)
             certificates = list(enumerate_region(cicy, 40, 8))
             monkeypatch.undo()
             columns = len({c.g for c in certificates})
@@ -691,8 +711,16 @@ class TestSharedRecords:
                 "degree-dominates": 2 * columns,
                 "degree-range": len(certificates),
                 "genus-degree-bound": len(certificates)}
-            assert sum(type(record) is RouteResult for record in built) == (
-                rows * sum(c.d < 2 * c.g - 1 for c in certificates))
+            # a point calls no route: each row of a column asks for three and
+            # builds at most two (a point built one below d = 2g - 1 before)
+            assert len(routed) == len(set(routed)) <= 3 * rows * columns
+            assert sum(type(record) is RouteResult for record in built) <= (
+                2 * rows * columns)
+            routes = {}  # equal routes of a row in a column are one record
+            for c in certificates:
+                for i, a in enumerate(c.derived.rows):
+                    held = routes.setdefault((c.g, i, a.route), a.route)
+                    assert held is a.route
             shared = {}
             for c in certificates:
                 key = c.g, tuple((a.knutsen, a.route) for a in c.derived.rows)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -289,6 +290,25 @@ class TestEnumerateCommand:
             warnings = [c.warnings for c in enumerate_region(cicy, 40, 8)]
             changes += 1 + sum(a != b for a, b in zip(warnings, warnings[1:]))
         assert encodes == changes <= 90
+
+    def test_json_encodes_routes_once_per_change(self, monkeypatch):
+        # a column holds each row's routes and shares equal ones, so a newly
+        # built derived verdict holds the route records of the verdict before
+        # it, and the writer encodes those only where they change
+        encodes = Counter()
+
+        def counted(slots, at, value, newline, member=_member):
+            held = slots.get(at)
+            encodes[at] += held is None or held[0] is not value
+            return member(slots, at, value, newline)
+        monkeypatch.setattr(sys.modules["rigidcurves.cli"], "_member", counted)
+        for cicy in CicyType:
+            code, _, _ = run_cli(["enumerate", "--type", cicy.type_string(),
+                                  "--d-max", "40", "--g-max", "8",
+                                  "--format", "json"])
+            assert code == 0
+        # 257 and 160 when each point built its lattice routes
+        assert encodes["route"] <= 215 and encodes["lattice"] <= 118
 
     @pytest.mark.parametrize("fmt, start, sep, end", [
         ("csv", "", ",", "\n"), ("markdown", "| ", " | ", " |\n")])

@@ -104,6 +104,27 @@ class TestConstruction:
         with pytest.raises(ValueError):
             s.coefficient(3)
 
+    # each message printed the number and so carried Python's "Exceeds the
+    # limit" text past the int-to-str limit; it names sign and bit length
+    @pytest.mark.parametrize("call, message", [
+        (lambda: TruncatedSeries(-(10**5000), ()),
+         "order must be nonnegative, got -<16610-bit integer>"),
+        (lambda: TruncatedSeries(10**5000, ()),
+         "order <16610-bit integer> needs <16610-bit integer> coefficients, "
+         "got 0"),
+        (lambda: TruncatedSeries.one(2).coefficient(10**5000),
+         "degree <16610-bit integer> outside 0..2"),
+        (lambda: TruncatedSeries(-1, ()), "order must be nonnegative, got -1"),
+        (lambda: TruncatedSeries(2, (1, 2)),
+         "order 2 needs 3 coefficients, got 2"),
+        (lambda: series(1, 2, 3).coefficient(-1), "degree -1 outside 0..2"),
+    ], ids=["negative-order", "order-count", "coefficient",
+            "small-negative-order", "small-order-count", "small-coefficient"])
+    def test_messages_past_the_int_to_str_limit(self, call, message):
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == message
+
 
 class TestIsOne:
     def test_linear_term_counts(self):

@@ -66,6 +66,12 @@ ALLOWED = {
         "equivalent: the one more genus row has 2g - 3 > d_max, so is empty",
     ("chern.py", "degeneracy_count","c = total_chern(expr, 3)"):
         "equivalent: a longer series, whose extra term is never read",
+    ("certify.py", "_Column.derived",
+     "key.append(at := at if (at <= 2) else 2) # 0 at 2g-3, 1 at 2g-2"):
+        "equivalent: at == 2 gives the index 2 either way",
+    ("certify.py", "_Column.derived",
+     "key.append(at := at if at < 3 else 2) # 0 at 2g-3, 1 at 2g-2"):
+        "equivalent: at == 2 gives the index 2 either way",
     ("cli.py", "run_table", "width = 6 if args.verify else 3"):
         "equivalent: the row has five columns, so [:6] is [:5]",
     ("series.py", "invert", "out = [inv0] + [Fraction(1)] * n"):

@@ -60,6 +60,9 @@ class CicyType(Enum):
 
     def __init__(self, *degrees: int) -> None:
         self._type_string = ",".join(map(str, degrees))  # once per member
+        # the first two members of a certificate's ``input``, read off the
+        # member itself: a dict keyed by it would hash through Python code
+        self._input = (("type", self._type_string), ("degrees", degrees))
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -308,19 +311,20 @@ class Certificate(NamedTuple):
     @property
     def warnings(self) -> tuple[str, ...]:
         extrapolated = discrepant = False
-        for a in self.derived.rows:
+        for a in self.derived.rows:  # viable is read for a discrepant row only
             extrapolated |= a.knutsen.extrapolated
-            discrepant |= a.viable and a.row in _DISCREPANT_ROWS
+            discrepant |= a.row in _DISCREPANT_ROWS and a.viable
         return _WARNINGS[self.stated.accept != self.derived.accept,
                          extrapolated, discrepant]
 
     def members(self) -> tuple:
         """The members of ``to_dict()``, as ``_document`` reads them."""
-        return (("input", _record(_Object, ((("type", self.cicy.type_string()),
-                                             ("degrees", self.cicy.degrees),
-                                             ("d", self.d), ("g", self.g)),))),
-                ("stated", self.stated), ("derived", self.derived),
-                ("count", _decimal(self.count)), ("warnings", self.warnings))
+        cicy, d, g, stated, derived = self
+        return (("input", _record(_Object, (cicy._input + (("d", d),
+                                                           ("g", g)),))),
+                ("stated", stated), ("derived", derived),
+                ("count", _decimal(derived.count)),
+                ("warnings", self.warnings))
 
     to_dict = _document
 
@@ -329,7 +333,8 @@ class _Column:
     """What the certificates of ``cicy`` at genus ``g`` share, built once: the
     clauses that do not read ``d``, the numbers the rest compare ``d`` against
     (2g-3, 4m and 4mg, min(2g-2, g+m)) and the decisions in clause order; from
-    the first ``derived``, each row's m, margin, count and routes, and the
+    the first ``derived``, each row's m, margin and count; from the first
+    verdict built at each route index, each row's route there; and the
     verdicts by route index and each row's Knutsen verdict."""
 
     def __init__(self, cicy: CicyType, g: int) -> None:
@@ -347,19 +352,15 @@ class _Column:
                         (Clause("degree-dominates", False, *dominates),
                          Clause("degree-dominates", True, *dominates)))
         self.verdicts: dict[tuple, DerivedVerdict] = {}
+        self.routes: dict[int, list] = {}  # route index -> each row's route
 
     @functools.cached_property
-    def rows(self) -> list:  # (row, m, margin, count, routes), for g >= 0
+    def rows(self) -> list:  # (row, m, margin, count), for g >= 0
         rows, g = [], self.g
         for row in _FAMILY_ROWS[self.cicy]:
             m, margin = row.m, row.nodes >= g + 2
-            # its routes at 2g-3, 2g-2 (one record if equal) and from 2g-1 on
-            routes = [nonspeciality_route(m, d, g)
-                      for d in range(self.floor, self.floor + 3)]
-            if routes[1] == routes[0]:
-                routes[1] = routes[0]
             rows.append((row, m, margin, rigid_count(row.nodes, g) if margin
-                         else None, routes))
+                         else None))
         return rows
 
     def stated(self, d: int) -> StatedVerdict:
@@ -394,20 +395,32 @@ class _Column:
             return DerivedVerdict(f"out-of-range: {out_of_range}", max(g, 0),
                                   None, ())
         key = []  # each row's Knutsen verdict, then the route index
-        for _, m, _, _, _ in self.rows:
+        for _, m, _, _ in self.rows:
             key.append(knutsen_exists(m, d, g))
         key.append(at := at if at < 2 else 2)  # 0 at 2g-3, 1 at 2g-2
         verdict = self.verdicts.get(key := tuple(key))
         if verdict is not None:
             return verdict
+        routes = self.routes.get(at)
+        if routes is None:  # at 2g-3, at 2g-2, or one route from 2g-1 on
+            routes = []  # plain loops: a comprehension is a frame on 3.11
+            for i, (_, m, _, _) in enumerate(self.rows):
+                route = nonspeciality_route(m, d, g)
+                # a route equal to one the row holds is that very record
+                for held in self.routes.values():
+                    if held[i] == route:
+                        route = held[i]
+                routes.append(route)
+            self.routes[at] = routes
         rows, chosen = [], None
-        for (row, _, margin, count, routes), knutsen in zip(self.rows, key):
+        for (row, _, margin, count), knutsen, route in zip(self.rows, key,
+                                                           routes):
             failure = ("k3-existence" if not knutsen.exists
                        else "node-margin" if not margin
-                       else "nonspeciality" if routes[at].route
+                       else "nonspeciality" if route.route
                        is NonspecialityRoute.FAIL else None)
             viable = failure is None
-            rows.append(RowAssessment(row, knutsen, margin, routes[at],
+            rows.append(RowAssessment(row, knutsen, margin, route,
                                       count if viable else None, failure))
             # a later row must have more nodes: the first of equal rows wins
             if viable and (chosen is None or row.nodes > chosen.row.nodes):

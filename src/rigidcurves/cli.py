@@ -90,7 +90,9 @@ def _member(slots: dict, at: object, value: object, newline: str) -> str:
             scalar = _SCALARS.get(type(item))
             parts.append(scalar(item) if scalar
                          else _member(nested, i, item, inner))
-        text = ("[" + inner + ("," + inner).join(parts) + newline + "]"
+        # one f-string copies the joined parts once; before Python 3.12 its
+        # expressions may hold no backslash
+        text = (f"[{inner}{(',' + inner).join(parts)}{newline}]"
                 if parts else "[]")
     elif isinstance(value, tuple):
         try:  # looked up apart from the call, whose own errors pass through
@@ -104,7 +106,7 @@ def _member(slots: dict, at: object, value: object, newline: str) -> str:
             scalar = _SCALARS.get(type(item))
             parts.append(label + (scalar(item) if scalar
                                   else _member(nested, key, item, inner)))
-        text = ("{" + inner + ("," + inner).join(parts) + newline + "}"
+        text = (f"{{{inner}{(',' + inner).join(parts)}{newline}}}"
                 if parts else "{}")
     else:  # a float, a dict, a str or int subclass...
         raise TypeError(f"cannot encode {type(value).__name__} as JSON")

@@ -755,6 +755,28 @@ class TestSharedRecords:
                 assert counted == []
         assert total > 0
 
+    def test_single_calls_route_each_row_once(self, monkeypatch):
+        # a column builds each row's route at a route index (2g-3, 2g-2, or
+        # from 2g-1 on) when a verdict first needs it, so a one-point column
+        # routes each row once, at its point
+        module = sys.modules["rigidcurves.certify"]
+        routed = []
+
+        def route(m, d, g):
+            routed.append((m, d, g))
+            return nonspeciality_route(m, d, g)
+        monkeypatch.setattr(module, "nonspeciality_route", route)
+        for cicy in CicyType:
+            ms = [row.m for row in node_table() if row.cicy is cicy]
+            for d, g in ((13, 8), (14, 8), (15, 8), (40, 8), (6, 2), (1, 0)):
+                for call in (certify, derived_conditions):
+                    call(cicy, d, g)
+                    assert routed == [(m, d, g) for m in ms]
+                    routed.clear()
+            for d, g in ((0, 2), (5, 9), (6, -1)):
+                certify(cicy, d, g)
+                assert routed == []
+
     def test_fast_built_records_equal_constructed_ones(self, monkeypatch):
         # over the box of the stated literal oracle, each record that a point
         # builds with ``_record`` (the degree-range and genus-degree-bound

@@ -22,6 +22,7 @@ from rigidcurves.certify import (
     Clause,
     CicyType,
     DerivedVerdict,
+    EmbeddingRow,
     _document,
     certify,
     enumerate_region,
@@ -309,6 +310,35 @@ class TestEnumerateCommand:
             assert code == 0
         # 257 and 160 when each point built its lattice routes
         assert encodes["route"] <= 215 and encodes["lattice"] <= 118
+
+    def test_json_reads_family_fields_once_per_call(self, monkeypatch):
+        # a certificate's input takes the family's type and degrees from
+        # pairs the family holds, so type_string is read once per call (for
+        # the region's input) and degrees only where an embedding row is
+        # encoded: neither is read once per certificate (1590 of them)
+        argvs = [["enumerate", "--type", cicy.type_string(), "--d-max", "40",
+                  "--g-max", "8", "--format", "json"] for cicy in CicyType]
+        reads = Counter()
+
+        def type_string(cicy, read=CicyType.type_string):
+            reads["type_string"] += 1
+            return read(cicy)
+
+        def degrees(cicy, read=CicyType.degrees.fget):
+            reads["degrees"] += 1
+            return read(cicy)
+
+        def row_members(row, members=EmbeddingRow.members):
+            reads["row members"] += 1
+            return members(row)
+        monkeypatch.setattr(CicyType, "type_string", type_string)
+        monkeypatch.setattr(CicyType, "degrees", property(degrees))
+        monkeypatch.setattr(EmbeddingRow, "members", row_members)
+        for argv in argvs:
+            assert run_cli(argv)[0] == 0
+        monkeypatch.undo()
+        assert reads["type_string"] == len(argvs)
+        assert reads["degrees"] == reads["row members"] < 1590 // 3
 
     @pytest.mark.parametrize("fmt, start, sep, end", [
         ("csv", "", ",", "\n"), ("markdown", "| ", " | ", " |\n")])

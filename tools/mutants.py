@@ -72,6 +72,10 @@ ALLOWED = {
     ("certify.py", "_Column.derived",
      "key.append(at := at if at < 3 else 2) # 0 at 2g-3, 1 at 2g-2"):
         "equivalent: at == 2 gives the index 2 either way",
+    ("certify.py", "_Column.derived",
+     "key.append(at := at if at < 2 else 3) # 0 at 2g-3, 1 at 2g-2"):
+        "equivalent: from 2g-1 on the index is only a dict key, and 3 is as "
+        "distinct from 0 and 1 as 2",
     ("cli.py", "run_table", "width = 6 if args.verify else 3"):
         "equivalent: the row has five columns, so [:6] is [:5]",
     ("series.py", "invert", "out = [inv0] + [Fraction(1)] * n"):

@@ -197,7 +197,9 @@ _STATED_CASES = {
 }
 
 # clause name -> (the ``holds`` value on which the clause decides, the
-# reason it then gives); the first clause that decides sets the reason.
+# reason it then gives); the first clause that decides sets the reason.  A
+# column walks its clauses once per pattern of the facts that read ``d`` and
+# holds the reason for the pattern from then on.
 _CLAUSE_DECISIONS = {
     "genus-nonnegative": (False, "genus-negative"),
     "degree-range": (False, "degree-out-of-range"),
@@ -333,9 +335,11 @@ class _Column:
     """What the certificates of ``cicy`` at genus ``g`` share, built once: the
     clauses that do not read ``d``, the numbers the rest compare ``d`` against
     (2g-3, 4m and 4mg, min(2g-2, g+m)) and the decisions in clause order; from
-    the first ``derived``, each row's m, margin and count; from the first
-    verdict built at each route index, each row's route there; and the
-    verdicts by route index and each row's Knutsen verdict."""
+    the first point with each pattern of the facts that read ``d``, the
+    stated reason for the pattern; from the first ``derived``, each row's m,
+    margin and count; from the first verdict built at each route index, each
+    row's route there; and the verdicts by route index and each row's Knutsen
+    verdict."""
 
     def __init__(self, cicy: CicyType, g: int) -> None:
         self.cicy, self.g, self.case = cicy, g, _STATED_CASES[cicy]
@@ -351,6 +355,7 @@ class _Column:
                                (g, genus_cap)),
                         (Clause("degree-dominates", False, *dominates),
                          Clause("degree-dominates", True, *dominates)))
+        self.reasons: dict[tuple, str] = {}  # stated reason by d's facts
         self.verdicts: dict[tuple, DerivedVerdict] = {}
         self.routes: dict[int, list] = {}  # route index -> each row's route
 
@@ -368,20 +373,28 @@ class _Column:
             self.g, self.case)
         (nonnegative, capped, dominates), (four_m, four_mg) = (
             self.clauses, self.bound)
-        clauses = (nonnegative, _record(Clause, (
-                       "degree-range", d >= self.floor, "d=%s >= 2g-3=%s",
-                       (d, self.floor))),
-                   *(() if exceptional is None
-                     else (is_exceptional[(d, g) == exceptional],)),
-                   _record(Clause, (
-                       "genus-degree-bound", four_mg < d * d,
-                       "%s*g=%s < d^2=%s", (four_m, four_mg, d * d))),
-                   capped, avoided[(d, g) != forbidden],
-                   dominates[d > self.threshold])
-        for clause, (decides, reason) in zip(clauses, self.decisions):
-            if clause.holds == decides:
-                return _record(StatedVerdict, (reason, clauses))
-        return _record(StatedVerdict, ("accepted", clauses))
+        # the five facts that read d; with the column's constants they fix
+        # the reason
+        holds = (in_range := d >= self.floor, pair := (d, g) == exceptional,
+                 bounded := four_mg < d * d, avoids := (d, g) != forbidden,
+                 dominant := d > self.threshold)
+        ranged = _record(Clause, ("degree-range", in_range,
+                                  "d=%s >= 2g-3=%s", (d, self.floor)))
+        bound = _record(Clause, ("genus-degree-bound", bounded,
+                                 "%s*g=%s < d^2=%s", (four_m, four_mg, d * d)))
+        clauses = ((nonnegative, ranged, bound, capped, avoided[avoids],
+                    dominates[dominant]) if exceptional is None
+                   else (nonnegative, ranged, is_exceptional[pair], bound,
+                         capped, avoided[avoids], dominates[dominant]))
+        reason = self.reasons.get(holds)
+        if reason is None:  # the first clause that decides sets the reason
+            for clause, (decides, reason) in zip(clauses, self.decisions):
+                if clause.holds == decides:
+                    break
+            else:
+                reason = "accepted"
+            self.reasons[holds] = reason
+        return _record(StatedVerdict, (reason, clauses))
 
     def derived(self, d: int) -> DerivedVerdict:
         g, at = self.g, d - self.floor

@@ -142,6 +142,17 @@ def count_builds(monkeypatch, classes, built):
     monkeypatch.setattr(sys.modules["rigidcurves.certify"], "_record", record)
 
 
+def count_walks(monkeypatch, walks):
+    """Append to ``walks`` each stated clause walk from here on: a walk zips
+    the clauses with a family's decisions, whose ``__iter__`` counts."""
+    class Counted(tuple):
+        def __iter__(self):
+            walks.append(self)
+            return super().__iter__()
+    monkeypatch.setattr(sys.modules["rigidcurves.certify"], "_DECISIONS",
+                        tuple(map(Counted, _DECISIONS)))
+
+
 class TestCicyType:
     def test_exactly_five_families(self):
         assert len(CicyType) == 5
@@ -823,10 +834,31 @@ class TestSharedRecords:
                 reached.add(flags)
         assert len(reached) == 6  # as on the stated literal oracle's box
 
-    def test_single_calls_return_new_records(self):
-        for call in (certify, stated_conditions, derived_conditions):
+    def test_each_column_walks_each_pattern_once(self, monkeypatch):
+        # a column decides its stated reason by a walk over the clauses the
+        # first time a point meets its pattern of clause values, and reads it
+        # after that: a point walks exactly when its pattern is new there
+        walks, patterns, points = [], set(), 0
+        count_walks(monkeypatch, walks)
+        for cicy in CicyType:
+            for certificate in enumerate_region(cicy, 40, 8):
+                patterns.add((cicy, certificate.g, tuple(
+                    c.holds for c in certificate.stated.clauses)))
+                assert len(walks) == len(patterns)
+                points += 1
+        assert points == 1590 and len(walks) < points / 10
+
+    def test_single_calls_return_new_records(self, monkeypatch):
+        # each call builds a one-point column, which walks the stated clauses
+        # once
+        walks = []
+        count_walks(monkeypatch, walks)
+        for call, walked in ((certify, 2), (stated_conditions, 2),
+                             (derived_conditions, 0)):
             first, second = (call(CicyType.QUINTIC, 20, 2) for _ in "ab")
             assert first == second and first is not second
+            assert len(walks) == walked
+            walks.clear()
         first, second = (certify(CicyType.QUINTIC, 20, 2) for _ in "ab")
         assert first.stated is not second.stated
         assert first.derived is not second.derived

@@ -387,7 +387,7 @@ class _Column:
                    else (nonnegative, ranged, is_exceptional[pair], bound,
                          capped, avoided[avoids], dominates[dominant]))
         reason = self.reasons.get(holds)
-        if reason is None:  # the first clause that decides sets the reason
+        if reason is None:
             for clause, (decides, reason) in zip(clauses, self.decisions):
                 if clause.holds == decides:
                     break

@@ -196,25 +196,6 @@ _STATED_CASES = {
     }.items()
 }
 
-# clause name -> (the ``holds`` value on which the clause decides, the
-# reason it then gives); the first clause that decides sets the reason.  A
-# column walks its clauses once per pattern of the facts that read ``d`` and
-# holds the reason for the pattern from then on.
-_CLAUSE_DECISIONS = {
-    "genus-nonnegative": (False, "genus-negative"),
-    "degree-range": (False, "degree-out-of-range"),
-    "exceptional-pair": (True, "exceptional-pair"),
-    "genus-degree-bound": (False, "genus-degree-bound-failed"),
-    "genus-cap": (False, "genus-cap-exceeded"),
-    "forbidden-pair-avoided": (False, "forbidden-pair"),
-    "degree-dominates": (False, "degree-too-small"),
-}
-# the decisions in clause order, for a family without and with an
-# exceptional pair (without one, there is no exceptional-pair clause)
-_DECISIONS = (tuple(decision for name, decision in _CLAUSE_DECISIONS.items()
-                    if name != "exceptional-pair"),
-              tuple(_CLAUSE_DECISIONS.values()))
-
 
 def stated_conditions(cicy: CicyType, d: int, g: int) -> StatedVerdict:
     """Literal per-family case conditions, with every clause traced."""
@@ -333,21 +314,19 @@ class Certificate(NamedTuple):
 
 class _Column:
     """What the certificates of ``cicy`` at genus ``g`` share, built once: the
-    clauses that do not read ``d``, the numbers the rest compare ``d`` against
-    (2g-3, 4m and 4mg, min(2g-2, g+m)) and the decisions in clause order; from
-    the first point with each pattern of the facts that read ``d``, the
-    stated reason for the pattern; from the first ``derived``, each row's m,
-    margin and count; from the first verdict built at each route index, each
-    row's route there; and the verdicts by route index and each row's Knutsen
-    verdict."""
+    clauses that do not read ``d`` and the numbers the rest compare ``d``
+    against (2g-3, 4m and 4mg, min(2g-2, g+m)); from the first ``derived``,
+    each row's m, margin and count; from the first verdict built at each route
+    index, each row's route there; and the verdicts by route index and each
+    row's Knutsen verdict.  The stated reason is decided at each point, from
+    the clauses in their order."""
 
     def __init__(self, cicy: CicyType, g: int) -> None:
         self.cicy, self.g, self.case = cicy, g, _STATED_CASES[cicy]
-        m, genus_cap, _, exceptional = self.case[:4]
+        m, genus_cap = self.case[:2]
         self.floor, self.bound = 2 * g - 3, (4 * m, 4 * m * g)
         # d > 2g-2 or d > g+m holds exactly when d > min(2g-2, g+m)
         self.threshold = min(2 * g - 2, g + m)
-        self.decisions = _DECISIONS[exceptional is not None]
         dominates = ("d > 2g-2=%s or d > g+%s=%s", (2 * g - 2, m, g + m))
         # genus-nonnegative, genus-cap, and degree-dominates by ``holds``
         self.clauses = (Clause("genus-nonnegative", g >= 0, "g=%s", (g,)),
@@ -355,7 +334,6 @@ class _Column:
                                (g, genus_cap)),
                         (Clause("degree-dominates", False, *dominates),
                          Clause("degree-dominates", True, *dominates)))
-        self.reasons: dict[tuple, str] = {}  # stated reason by d's facts
         self.verdicts: dict[tuple, DerivedVerdict] = {}
         self.routes: dict[int, list] = {}  # route index -> each row's route
 
@@ -373,11 +351,10 @@ class _Column:
             self.g, self.case)
         (nonnegative, capped, dominates), (four_m, four_mg) = (
             self.clauses, self.bound)
-        # the five facts that read d; with the column's constants they fix
-        # the reason
-        holds = (in_range := d >= self.floor, pair := (d, g) == exceptional,
-                 bounded := four_mg < d * d, avoids := (d, g) != forbidden,
-                 dominant := d > self.threshold)
+        # the five facts that read d
+        in_range, pair = d >= self.floor, (d, g) == exceptional
+        bounded, avoids = four_mg < d * d, (d, g) != forbidden
+        dominant = d > self.threshold
         ranged = _record(Clause, ("degree-range", in_range,
                                   "d=%s >= 2g-3=%s", (d, self.floor)))
         bound = _record(Clause, ("genus-degree-bound", bounded,
@@ -386,14 +363,16 @@ class _Column:
                     dominates[dominant]) if exceptional is None
                    else (nonnegative, ranged, is_exceptional[pair], bound,
                          capped, avoided[avoids], dominates[dominant]))
-        reason = self.reasons.get(holds)
-        if reason is None:
-            for clause, (decides, reason) in zip(clauses, self.decisions):
-                if clause.holds == decides:
-                    break
-            else:
-                reason = "accepted"
-            self.reasons[holds] = reason
+        # the first clause to decide gives the reason: the exceptional pair
+        # (never held without one) when it holds, every other when it fails
+        reason = ("genus-negative" if not nonnegative.holds
+                  else "degree-out-of-range" if not in_range
+                  else "exceptional-pair" if pair
+                  else "genus-degree-bound-failed" if not bounded
+                  else "genus-cap-exceeded" if not capped.holds
+                  else "forbidden-pair" if not avoids
+                  else "degree-too-small" if not dominant
+                  else "accepted")
         return _record(StatedVerdict, (reason, clauses))
 
     def derived(self, d: int) -> DerivedVerdict:

@@ -316,8 +316,7 @@ class _Column:
     """What the certificates of ``cicy`` at genus ``g`` share, built once: the
     clauses that do not read ``d`` and the numbers the rest compare ``d``
     against (2g-3, 4m and 4mg, min(2g-2, g+m)); from the first ``derived``,
-    each row's m, margin and count; from the first verdict built at each route
-    index, each row's route there; and the verdicts by route index and each
+    each row's m, margin and count; and the verdicts by route index and each
     row's Knutsen verdict.  The stated reason is decided at each point, from
     the clauses in their order."""
 
@@ -335,7 +334,6 @@ class _Column:
                         (Clause("degree-dominates", False, *dominates),
                          Clause("degree-dominates", True, *dominates)))
         self.verdicts: dict[tuple, DerivedVerdict] = {}
-        self.routes: dict[int, list] = {}  # route index -> each row's route
 
     @functools.cached_property
     def rows(self) -> list:  # (row, m, margin, count), for g >= 0
@@ -393,20 +391,9 @@ class _Column:
         verdict = self.verdicts.get(key := tuple(key))
         if verdict is not None:
             return verdict
-        routes = self.routes.get(at)
-        if routes is None:  # at 2g-3, at 2g-2, or one route from 2g-1 on
-            routes = []  # plain loops: a comprehension is a frame on 3.11
-            for i, (_, m, _, _) in enumerate(self.rows):
-                route = nonspeciality_route(m, d, g)
-                # a route equal to one the row holds is that very record
-                for held in self.routes.values():
-                    if held[i] == route:
-                        route = held[i]
-                routes.append(route)
-            self.routes[at] = routes
         rows, chosen = [], None
-        for (row, _, margin, count), knutsen, route in zip(self.rows, key,
-                                                           routes):
+        for (row, m, margin, count), knutsen in zip(self.rows, key):
+            route = nonspeciality_route(m, d, g)
             failure = ("k3-existence" if not knutsen.exists
                        else "node-margin" if not margin
                        else "nonspeciality" if route.route

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 = success/certified, 1 = rejected, 2 = invalid input,
-3 = table verification mismatch, 141 = stdout closed by its reader (as if
-killed by SIGPIPE, with nothing on stderr).  Payload goes to stdout,
+3 = table verification mismatch, 74 = stdout cannot be written (a full disk,
+a closed descriptor; one line on stderr), 141 = stdout closed by its reader
+(as if killed by SIGPIPE, with nothing on stderr).  Payload goes to stdout,
 diagnostics to stderr; identical invocations produce byte-identical output.
 JSON is exactly ``json.dumps(document, indent=2)``, and every command writes
 it through one writer, ``_member``, from its records' ``members()``; no
@@ -35,6 +36,7 @@ EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_INVALID = 2
 EXIT_MISMATCH = 3
+EXIT_IO_ERROR = 74  # EX_IOERR
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 _FORMATS = ("json", "csv", "markdown")
@@ -53,7 +55,11 @@ def _family(text: str) -> CicyType:
 
 
 def _bounded_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:  # argparse would name this function
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
     if not 0 <= value <= ENUMERATION_GUARD:
         raise argparse.ArgumentTypeError(
             f"must be nonnegative and at most {ENUMERATION_GUARD}, got {text}")
@@ -272,6 +278,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
+        if sys.stdout is None:  # fd 1 was closed before the start
+            raise OSError("stdout is closed")
         try:
             args = _build_parser().parse_args(argv)
         except SystemExit as exc:  # 0 after --help, 2 for an argument error
@@ -279,11 +287,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             code = args.func(args)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout (say, ``| head``).  Point stdout at
-        # devnull so the interpreter's last flush cannot fail as well.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_BROKEN_PIPE
+    except OSError as exc:  # writing stdout: no command reads or opens files
+        # Point stdout at devnull so the interpreter's last flush cannot fail
+        # as well.  A reader that closed stdout (say, ``| head``) is quiet.
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_BROKEN_PIPE
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_IO_ERROR
     return code
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -181,6 +182,29 @@ class TestNodeTable:
             EmbeddingRow(CicyType.QUINTIC, (5, 1), 2)  # degree 10, not a K3 here
         with pytest.raises(ValueError):
             EmbeddingRow(CicyType.QUINTIC, (3, 1), 2)  # odd degree product
+
+    def test_table_holds_every_dominated_k3_type(self):
+        # every K3 type with one more degree than its family, each degree at
+        # least 1 and summing to the family's 4 + len: degeneracy_count
+        # accepts exactly the tabulated ones, so the derived mode's largest
+        # n is taken over every candidate
+        rejected = set()
+        for cicy in CicyType:
+            total, length = 4 + len(cicy.degrees), len(cicy.degrees) + 1
+            types = {k3 for k3 in itertools.combinations_with_replacement(
+                range(total, 0, -1), length) if sum(k3) == total}
+            tabulated = {row.k3_degrees for row in node_table()
+                         if row.cicy is cicy}
+            assert tabulated <= types
+            for k3 in types - tabulated:
+                with pytest.raises(InvalidEmbeddingError):
+                    degeneracy_count(cicy.degrees, k3)
+                rejected.add((cicy.degrees, k3))
+            for k3 in tabulated:
+                degeneracy_count(cicy.degrees, k3)
+        assert rejected == {((3, 3), (4, 1, 1)), ((3, 2, 2), (4, 1, 1, 1)),
+                            ((2, 2, 2, 2), (4, 1, 1, 1, 1)),
+                            ((2, 2, 2, 2), (3, 2, 1, 1, 1))}
 
     @pytest.mark.parametrize("k3, message", [
         ((10**5000, 1), "K3 type (<16610-bit integer>, 1) has degree "
@@ -656,7 +680,7 @@ class TestSharedRecords:
                 clause = a.knutsen.clause
                 assert a.knutsen == KnutsenVerdict(exists[clause], clause,
                                                    d < 2 * g - 2)
-                # a column holds its routes: each equals a fresh one
+                # a column's verdicts hold routes equal to fresh ones
                 assert a.route == nonspeciality_route(a.row.m, d, g)
                 if d >= 2 * g - 1:
                     assert a.route == RouteResult(None)
@@ -675,9 +699,9 @@ class TestSharedRecords:
     def test_each_column_builds_its_constants_once(self, monkeypatch):
         # enumerate_region walks d through one column per genus: the column
         # builds the clauses that do not read d, each row's count, and one
-        # derived verdict per distinct (knutsen, route) of its rows, and each
-        # row's routes at d = 2g - 3 and 2g - 2, one record where equal; a
-        # point builds its degree-range and genus-degree-bound clauses
+        # derived verdict per distinct (knutsen, route) of its rows, with
+        # each row's route; a point builds its degree-range and
+        # genus-degree-bound clauses
         module = sys.modules["rigidcurves.certify"]
         for cicy in CicyType:
             built, counted, routed = [], [], []
@@ -704,16 +728,6 @@ class TestSharedRecords:
                 "degree-dominates": 2 * columns,
                 "degree-range": len(certificates),
                 "genus-degree-bound": len(certificates)}
-            # a point calls no route: each row of a column asks for three and
-            # builds at most two (a point built one below d = 2g - 1 before)
-            assert len(routed) == len(set(routed)) <= 3 * rows * columns
-            assert sum(type(record) is RouteResult for record in built) <= (
-                2 * rows * columns)
-            routes = {}  # equal routes of a row in a column are one record
-            for c in certificates:
-                for i, a in enumerate(c.derived.rows):
-                    held = routes.setdefault((c.g, i, a.route), a.route)
-                    assert held is a.route
             shared = {}
             for c in certificates:
                 key = c.g, tuple((a.knutsen, a.route) for a in c.derived.rows)
@@ -721,6 +735,11 @@ class TestSharedRecords:
             assert sum(type(record) is DerivedVerdict for record in built) == (
                 len(shared))
             assert len(shared) < len(certificates) / 3
+            # a point that reuses a verdict calls no route: each verdict built
+            # asks once per row, and only d = 2g - 3 and 2g - 2 build a record
+            assert len(routed) == len(set(routed)) == rows * len(shared)
+            assert sum(type(record) is RouteResult for record in built) <= (
+                2 * rows * columns)
 
     def test_single_calls_count_only_the_rows_they_read(self, monkeypatch):
         # a column builds its rows' counts the first time ``derived`` runs:
@@ -749,9 +768,8 @@ class TestSharedRecords:
         assert total > 0
 
     def test_single_calls_route_each_row_once(self, monkeypatch):
-        # a column builds each row's route at a route index (2g-3, 2g-2, or
-        # from 2g-1 on) when a verdict first needs it, so a one-point column
-        # routes each row once, at its point
+        # a column routes each row where it builds a derived verdict, so a
+        # one-point column routes each row once, at its point
         module = sys.modules["rigidcurves.certify"]
         routed = []
 
@@ -817,9 +835,9 @@ class TestSharedRecords:
         assert len(reached) == 6  # as on the stated literal oracle's box
 
     def test_columns_answer_alike_in_any_order(self):
-        # a column builds its derived verdicts and each route index's routes
-        # on first need: read in a shuffled order of d, each certificate of a
-        # column equals a fresh one for its point
+        # a column builds its derived verdicts on first need: read in a
+        # shuffled order of d, each certificate of a column equals a fresh one
+        # for its point
         rng, points = random.Random(2026), 0
         for cicy in CicyType:
             for g in range(-3, 20):

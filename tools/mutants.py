@@ -12,15 +12,19 @@ Each mutant changes one operator or literal of ``src/rigidcurves``:
   ``%`` -> ``//``, ``and`` and ``or`` swapped, a ``not`` dropped, a bool
   literal flipped, or the two arms of a conditional expression swapped.
 
-Every mutant is written into one copy of the repository, where the tier-1
-suite runs with ``pytest -x``, less the contracted failure
-(``test_criterion_5_lattice_identities``) and the flat-memory tests.  A
-mutant survives when the suite passes.  ``ALLOWED`` names the survivors
-known to be equivalent, or to change only message text or speed, each with
-its reason.  An ``ALLOWED`` entry whose function is in the run's scope but
-that no mutant makes is stale: it is reported, under ``--list`` too, and
-counted as unexpected.  The exit code is 1 when any other mutant survives or
-any entry is stale, else 0.
+Every mutant is written into one copy of the repository.  There the golden
+module first runs standalone (``python tests/test_golden.py``, without
+pytest's start-up), and a mutant that it fails is killed.  Any other mutant
+runs the tier-1 suite with ``pytest -x``, less the contracted failure
+(``test_criterion_5_lattice_identities``) and the flat-memory tests.  The
+suite runs the same golden checks first, so the pre-pass changes no
+mutant's verdict, only how soon a killed one is known.  Both runs share one
+timeout and memory limit.  A mutant survives when the suite passes.
+``ALLOWED`` names the survivors known to be equivalent, or to change only
+message text or speed, each with its reason.  An ``ALLOWED`` entry whose
+function is in the run's scope but that no mutant makes is stale: it is
+reported, under ``--list`` too, and counted as unexpected.  The exit code
+is 1 when any other mutant survives or any entry is stale, else 0.
 ``--only`` takes function names (``knutsen_exists``, ``Certificate.warnings``,
 ``<module>`` for top-level code), optionally as ``file.py:name``.
 """
@@ -41,6 +45,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rigidcurves"
+GOLDEN = [sys.executable, "tests/test_golden.py"]  # with PYTHONPATH=src
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
           "--deselect",
           "tests/test_acceptance.py::test_criterion_5_lattice_identities",
@@ -168,17 +173,22 @@ def _limit_memory() -> None:
 
 
 def run(copy_root: Path) -> str:
-    """"killed" or "survived" for the package now in ``copy_root``."""
+    """"killed" or "survived" for the package now in ``copy_root``: the
+    golden pre-pass, then the suite if the pre-pass passes."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     tests = sorted((p.name for p in copy_root.glob("tests/test_*.py")),
                    key=lambda name: (ORDER.get(name, 1), name))
-    try:
-        result = subprocess.run(PYTEST + [f"tests/{name}" for name in tests],
-                                cwd=copy_root, env=env, capture_output=True,
-                                timeout=TIMEOUT_S, preexec_fn=_limit_memory)
-    except subprocess.TimeoutExpired:
-        return "killed"  # by the timeout
-    return "survived" if result.returncode == 0 else "killed"
+    for command, extra in ((GOLDEN, {"PYTHONPATH": "src"}),
+                           (PYTEST + [f"tests/{name}" for name in tests], {})):
+        try:
+            result = subprocess.run(command, cwd=copy_root, env=env | extra,
+                                    capture_output=True, timeout=TIMEOUT_S,
+                                    preexec_fn=_limit_memory)
+        except subprocess.TimeoutExpired:
+            return "killed"  # by the timeout
+        if result.returncode != 0:
+            return "killed"
+    return "survived"
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -15,7 +15,6 @@ an accepted certificate is C(n - 2, g) for the chosen embedding row.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections.abc import Iterator
@@ -60,9 +59,6 @@ class CicyType(Enum):
 
     def __init__(self, *degrees: int) -> None:
         self._type_string = ",".join(map(str, degrees))  # once per member
-        # the first two members of a certificate's ``input``, read off the
-        # member itself: a dict keyed by it would hash through Python code
-        self._input = (("type", self._type_string), ("degrees", degrees))
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -303,8 +299,9 @@ class Certificate(NamedTuple):
     def members(self) -> tuple:
         """The members of ``to_dict()``, as ``_document`` reads them."""
         cicy, d, g, stated, derived = self
-        return (("input", _record(_Object, (cicy._input + (("d", d),
-                                                           ("g", g)),))),
+        given = (("type", cicy.type_string()), ("degrees", cicy.degrees),
+                 ("d", d), ("g", g))
+        return (("input", _record(_Object, (given,))),
                 ("stated", stated), ("derived", derived),
                 ("count", _decimal(derived.count)),
                 ("warnings", self.warnings))
@@ -315,10 +312,10 @@ class Certificate(NamedTuple):
 class _Column:
     """What the certificates of ``cicy`` at genus ``g`` share, built once: the
     clauses that do not read ``d`` and the numbers the rest compare ``d``
-    against (2g-3, 4m and 4mg, min(2g-2, g+m)); from the first ``derived``,
-    each row's m, margin and count; and the verdicts by route index and each
-    row's Knutsen verdict.  The stated reason is decided at each point, from
-    the clauses in their order."""
+    against (2g-3, 4m and 4mg, min(2g-2, g+m)); each row's m, margin and
+    count; and the verdicts by route index and each row's Knutsen verdict.
+    The stated reason is decided at each point, from the clauses in their
+    order."""
 
     def __init__(self, cicy: CicyType, g: int) -> None:
         self.cicy, self.g, self.case = cicy, g, _STATED_CASES[cicy]
@@ -334,15 +331,11 @@ class _Column:
                         (Clause("degree-dominates", False, *dominates),
                          Clause("degree-dominates", True, *dominates)))
         self.verdicts: dict[tuple, DerivedVerdict] = {}
-
-    @functools.cached_property
-    def rows(self) -> list:  # (row, m, margin, count), for g >= 0
-        rows, g = [], self.g
-        for row in _FAMILY_ROWS[self.cicy]:
-            m, margin = row.m, row.nodes >= g + 2
-            rows.append((row, m, margin, rigid_count(row.nodes, g) if margin
-                         else None))
-        return rows
+        self.rows = []  # (row, m, margin, count); no count below genus 0
+        for row in _FAMILY_ROWS[cicy] if g >= 0 else ():
+            margin = row.nodes >= g + 2
+            self.rows.append((row, row.m, margin,
+                              rigid_count(row.nodes, g) if margin else None))
 
     def stated(self, d: int) -> StatedVerdict:
         g, (_, _, forbidden, exceptional, avoided, is_exceptional) = (

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
@@ -288,10 +287,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             code = args.func(args)
         sys.stdout.flush()
     except OSError as exc:  # writing stdout: no command reads or opens files
-        # Point stdout at devnull so the interpreter's last flush cannot fail
-        # as well.  A reader that closed stdout (say, ``| head``) is quiet.
-        if sys.stdout is not None:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if isinstance(exc, BrokenPipeError):
             return EXIT_BROKEN_PIPE
         print(f"error: cannot write output: {exc}", file=sys.stderr)

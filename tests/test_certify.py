@@ -741,9 +741,9 @@ class TestSharedRecords:
             assert sum(type(record) is RouteResult for record in built) <= (
                 2 * rows * columns)
 
-    def test_single_calls_count_only_the_rows_they_read(self, monkeypatch):
-        # a column builds its rows' counts the first time ``derived`` runs:
-        # the stated mode and an out-of-range point read none of them
+    def test_single_calls_count_each_row_once(self, monkeypatch):
+        # a column builds each row's count when it is built, so every
+        # single call counts each row at most once; a negative genus, none
         module = sys.modules["rigidcurves.certify"]
         counted = []
 
@@ -754,18 +754,27 @@ class TestSharedRecords:
         total = 0
         for cicy in CicyType:
             rows = sum(1 for row in node_table() if row.cicy is cicy)
-            for d, g in ((6, 2), (40, 8), (3, 1), (20, 30), (1, 0)):
-                stated_conditions(cicy, d, g)
-                assert counted == []
-                for call in (certify, derived_conditions):
+            for d, g in ((6, 2), (40, 8), (3, 1), (20, 30), (1, 0), (0, 2),
+                         (5, 9)):
+                for call in (stated_conditions, certify, derived_conditions):
                     call(cicy, d, g)
                     assert len(counted) == len(set(counted)) <= rows
                     total += len(counted)
                     counted.clear()
-            for d, g in ((0, 2), (5, 9), (6, -1)):
-                certify(cicy, d, g)
-                assert counted == []
+            certify(cicy, 6, -1)
+            assert counted == []
         assert total > 0
+
+    def test_columns_gain_no_attribute_once_built(self):
+        # every attribute is set in ``__init__``: one added on first use
+        # would make each later attribute load slower on CPython 3.11
+        for cicy in CicyType:
+            for g in (-1, 0, 5, 8):
+                column = _Column(cicy, g)
+                built = set(vars(column))
+                for d in (-3, 0, 2 * g - 3, 2 * g - 2, 40):
+                    column.certify(d)
+                    assert set(vars(column)) == built, (cicy, g, d)
 
     def test_single_calls_route_each_row_once(self, monkeypatch):
         # a column routes each row where it builds a derived verdict, so a

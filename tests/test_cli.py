@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import enum
+import errno
 import io
 import json
 import os
@@ -22,7 +23,6 @@ from rigidcurves.certify import (
     Clause,
     CicyType,
     DerivedVerdict,
-    EmbeddingRow,
     _document,
     certify,
     enumerate_region,
@@ -318,35 +318,6 @@ class TestEnumerateCommand:
                                   "--format", "json"])
             assert code == 0
         assert encodes["route"] <= 257 and encodes["lattice"] <= 160
-
-    def test_json_reads_family_fields_once_per_call(self, monkeypatch):
-        # a certificate's input takes the family's type and degrees from
-        # pairs the family holds, so type_string is read once per call (for
-        # the region's input) and degrees only where an embedding row is
-        # encoded: neither is read once per certificate (1590 of them)
-        argvs = [["enumerate", "--type", cicy.type_string(), "--d-max", "40",
-                  "--g-max", "8", "--format", "json"] for cicy in CicyType]
-        reads = Counter()
-
-        def type_string(cicy, read=CicyType.type_string):
-            reads["type_string"] += 1
-            return read(cicy)
-
-        def degrees(cicy, read=CicyType.degrees.fget):
-            reads["degrees"] += 1
-            return read(cicy)
-
-        def row_members(row, members=EmbeddingRow.members):
-            reads["row members"] += 1
-            return members(row)
-        monkeypatch.setattr(CicyType, "type_string", type_string)
-        monkeypatch.setattr(CicyType, "degrees", property(degrees))
-        monkeypatch.setattr(EmbeddingRow, "members", row_members)
-        for argv in argvs:
-            assert run_cli(argv)[0] == 0
-        monkeypatch.undo()
-        assert reads["type_string"] == len(argvs)
-        assert reads["degrees"] == reads["row members"] < 1590 // 3
 
     @pytest.mark.parametrize("fmt, start, sep, end", [
         ("csv", "", ",", "\n"), ("markdown", "| ", " | ", " |\n")])
@@ -646,6 +617,31 @@ class TestCliContract:
         assert result.stderr.startswith(b"error: cannot write output: ")
         assert result.stderr.count(b"\n") == 1
         assert b"Traceback" not in result.stderr
+
+    @staticmethod
+    def _write_failing(error):
+        """``main`` on a stdout with no descriptor whose writes raise
+        ``error``: its exit code and stderr."""
+        class Failing(io.StringIO):
+            def write(self, text):
+                raise error
+        err = io.StringIO()
+        with contextlib.redirect_stdout(Failing()), \
+                contextlib.redirect_stderr(err):
+            code = main(["certify", "--type", "5", "--d", "6", "--g", "2"])
+        return code, err.getvalue()
+
+    def test_full_stream_exits_74_with_one_line(self):
+        code, err = self._write_failing(
+            OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
+        assert code == EXIT_IO_ERROR
+        assert err.startswith("error: cannot write output: ")
+        assert err.count("\n") == 1
+
+    def test_broken_pipe_stream_exits_141_quietly(self):
+        code, err = self._write_failing(
+            BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)))
+        assert code == EXIT_BROKEN_PIPE and err == ""
 
     def test_closed_stdout_exits_74_with_one_line(self):
         # started with fd 1 closed, as by ``>&-``: Python has no sys.stdout

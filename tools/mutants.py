@@ -20,6 +20,9 @@ runs the tier-1 suite with ``pytest -x``, less the contracted failure
 suite runs the same golden checks first, so the pre-pass changes no
 mutant's verdict, only how soon a killed one is known.  Both runs share one
 timeout and memory limit.  A mutant survives when the suite passes.
+The unmutated copy runs both first: a suite that already fails would kill
+every mutant, so if it fails, the tool prints which stage failed (the
+golden pre-pass or the suite), runs no mutant and exits 2.
 ``ALLOWED`` names the survivors known to be equivalent, or to change only
 message text or speed, each with its reason.  An ``ALLOWED`` entry whose
 function is in the run's scope but that no mutant makes is stale: it is
@@ -172,23 +175,25 @@ def _limit_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES))
 
 
-def run(copy_root: Path) -> str:
-    """"killed" or "survived" for the package now in ``copy_root``: the
-    golden pre-pass, then the suite if the pre-pass passes."""
+def run(copy_root: Path) -> str | None:
+    """The stage that fails for the package now in ``copy_root``, or None
+    when it survives: the golden pre-pass, then the suite if the pre-pass
+    passes."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     tests = sorted((p.name for p in copy_root.glob("tests/test_*.py")),
                    key=lambda name: (ORDER.get(name, 1), name))
-    for command, extra in ((GOLDEN, {"PYTHONPATH": "src"}),
-                           (PYTEST + [f"tests/{name}" for name in tests], {})):
+    for stage, command, extra in (
+            ("golden pre-pass", GOLDEN, {"PYTHONPATH": "src"}),
+            ("suite", PYTEST + [f"tests/{name}" for name in tests], {})):
         try:
             result = subprocess.run(command, cwd=copy_root, env=env | extra,
                                     capture_output=True, timeout=TIMEOUT_S,
                                     preexec_fn=_limit_memory)
         except subprocess.TimeoutExpired:
-            return "killed"  # by the timeout
+            return f"{stage} (timed out)"
         if result.returncode != 0:
-            return "killed"
-    return "survived"
+            return stage
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -216,12 +221,17 @@ def main(argv: list[str] | None = None) -> int:
         copy_root = Path(workdir) / "repo"
         shutil.copytree(ROOT, copy_root, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".perfbench_out", ".pytest_cache"))
+        failed = run(copy_root)
+        if failed is not None:
+            print(f"the unmutated package fails the {failed}: no mutant run")
+            return 2
         for path, unit, description, source in found:
             target = copy_root / path.relative_to(ROOT)
             target.write_text(source)
-            status = run(copy_root)
+            failed = run(copy_root)
             target.write_text(path.read_text())
-            if status == "survived":
+            status = "killed"
+            if failed is None:
                 reason = ALLOWED.get((path.name, unit, description))
                 unexpected += reason is None
                 status = "SURVIVED" if reason is None else f"allowed: {reason}"

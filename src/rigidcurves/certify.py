@@ -313,7 +313,7 @@ class _Column:
     """What the certificates of ``cicy`` at genus ``g`` share, built once: the
     clauses that do not read ``d`` and the numbers the rest compare ``d``
     against (2g-3, 4m and 4mg, min(2g-2, g+m)); each row's m, margin and
-    count; and the verdicts by route index and each row's Knutsen verdict.
+    count; and the verdicts by the rows' Knutsen verdicts and, below 2g-1, d.
     The stated reason is decided at each point, from the clauses in their
     order."""
 
@@ -377,10 +377,10 @@ class _Column:
         if out_of_range is not None:
             return DerivedVerdict(f"out-of-range: {out_of_range}", max(g, 0),
                                   None, ())
-        key = []  # each row's Knutsen verdict, then the route index
+        key = []  # each row's Knutsen verdict, then d or None
         for _, m, _, _ in self.rows:
             key.append(knutsen_exists(m, d, g))
-        key.append(at := at if at < 2 else 2)  # 0 at 2g-3, 1 at 2g-2
+        key.append(d if at < 2 else None)  # below 2g-1 a route reads d
         verdict = self.verdicts.get(key := tuple(key))
         if verdict is not None:
             return verdict

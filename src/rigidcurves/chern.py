@@ -192,8 +192,6 @@ def degeneracy_count(
             f"{_degrees(a)}"
         )
     expr = BundleExpr.sum_of_line_twists(b) - BundleExpr.sum_of_line_twists(a)
-    c = total_chern(expr, 2)
-    c1 = c.coefficient(1)
-    c2 = c.coefficient(2)
+    _, c1, c2 = total_chern(expr, 2).coeffs
     surface_degree = math.prod(a)
     return _as_integer((c1 * c1 - c2) * surface_degree, "node count")

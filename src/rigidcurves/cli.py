@@ -200,7 +200,7 @@ def run_table(args: argparse.Namespace) -> int:
         print(_member({}, None, _Object(pairs if args.verify else pairs[:1]),
                       "\n"))
     else:
-        width = 5 if args.verify else 3
+        width = None if args.verify else 3
         header = ["cicy", "k3", "n", "computed_n", "agree"][:width]
         rows = [
             [

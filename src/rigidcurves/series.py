@@ -114,12 +114,12 @@ def invert(a: TruncatedSeries) -> TruncatedSeries:
         raise NonUnitError("series with zero constant term has no inverse")
     n = a.order
     inv0 = 1 / c0
-    out = [inv0] + [Fraction(0)] * n
+    out = [inv0]
     for k in range(1, n + 1):
         acc = Fraction(0)
         for j in range(1, k + 1):
             acc += coeffs[j] * out[k - j]
-        out[k] = -inv0 * acc
+        out.append(-inv0 * acc)
     return TruncatedSeries(n, tuple(out))
 
 

@@ -956,11 +956,26 @@ class TestEnumerate:
         last = list(enumerate_region(CicyType.QUINTIC, 40, 21))[-2:]
         assert [(c.d, c.g) for c in last] == [(39, 21), (40, 21)]
 
-    def test_genus_beyond_degree_reach_adds_nothing(self):
+    def test_genus_beyond_degree_reach_adds_nothing(self, monkeypatch):
         # g > (d_max + 3) // 2 has no d with 2g - 3 <= d <= d_max
         assert list(enumerate_region(CicyType.QUINTIC, 10, 10**9)) == list(
             enumerate_region(CicyType.QUINTIC, 10, 6)
         )
+        # nor is a column built for it: at an even d_max the genus one past
+        # the reach has 2g - 3 = d_max + 1, so only the columns built show it
+        module = sys.modules["rigidcurves.certify"]
+        for d_max in (10, 40):
+            built = []
+
+            class Column(_Column):
+                def __init__(self, cicy, g):
+                    built.append(g)
+                    super().__init__(cicy, g)
+            monkeypatch.setattr(module, "_Column", Column)
+            certificates = list(enumerate_region(CicyType.QUINTIC, d_max,
+                                                 10**9))
+            monkeypatch.undo()
+            assert built == sorted({c.g for c in certificates})
 
     @pytest.mark.parametrize("cicy", list(CicyType))
     def test_region_equals_pointwise_calls(self, cicy):

@@ -15,21 +15,22 @@ Each mutant changes one operator or literal of ``src/rigidcurves``:
 Every mutant is written into one copy of the repository.  There the golden
 module first runs standalone (``python tests/test_golden.py``, without
 pytest's start-up), and a mutant that it fails is killed.  Any other mutant
-runs the tier-1 suite with ``pytest -x``, less the contracted failure
-(``test_criterion_5_lattice_identities``) and the flat-memory tests.  The
-suite runs the same golden checks first, so the pre-pass changes no
-mutant's verdict, only how soon a killed one is known.  Both runs share one
-timeout and memory limit.  A mutant survives when the suite passes.
-The unmutated copy runs both first: a suite that already fails would kill
-every mutant, so if it fails, the tool prints which stage failed (the
-golden pre-pass or the suite), runs no mutant and exits 2.
-``ALLOWED`` names the survivors known to be equivalent, or to change only
-message text or speed, each with its reason.  An ``ALLOWED`` entry whose
-function is in the run's scope but that no mutant makes is stale: it is
-reported, under ``--list`` too, and counted as unexpected.  The exit code
-is 1 when any other mutant survives or any entry is stale, else 0.
+runs the rest of the tier-1 suite with ``pytest -x``, less the contracted
+failure (``test_criterion_5_lattice_identities``) and the flat-memory
+tests; the golden module, which it has just passed, is left out.  Both runs
+share one timeout and memory limit.  A mutant survives when the suite
+passes.  The unmutated copy runs both first: a suite that already fails
+would kill every mutant, so if it fails, the tool prints which stage failed
+(the golden pre-pass or the suite), runs no mutant and exits 2.
+
+No survivor is excused: the exit code is 1 when any mutant survives, else
+0.  Where a mutant changes only speed, or nothing, restate the code so that
+it is not made, or add a test of the work it changes.
+
 ``--only`` takes function names (``knutsen_exists``, ``Certificate.warnings``,
-``<module>`` for top-level code), optionally as ``file.py:name``.
+``<module>`` for top-level code), optionally as ``file.py:name``.  A name
+that matches no function is printed as ``unknown unit: NAME``, and the tool
+exits 2 before it copies or runs anything.
 """
 
 from __future__ import annotations
@@ -53,8 +54,6 @@ PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
           "--deselect",
           "tests/test_acceptance.py::test_criterion_5_lattice_identities",
           "-k", "not TestFlatMemory"]
-# the golden hashes catch most mutants soonest; the CLI's processes are slow
-ORDER = {"test_golden.py": 0, "test_cli.py": 2}
 TIMEOUT_S = 600
 MEMORY_BYTES = 2 << 30  # address-space limit of each test run
 
@@ -63,33 +62,6 @@ COMPARE = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE,
 ARITHMETIC = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Add,
               ast.FloorDiv: ast.Mult, ast.Mod: ast.FloorDiv}
 BOOLEAN = {ast.And: ast.Or, ast.Or: ast.And}
-
-# (file, function, mutated line) -> why the suite rightly lets it pass
-ALLOWED = {
-    ("certify.py", "enumerate_region",
-     "for g in range(min(g_max, ((d_max + 3) * 2)) + 1)"):
-        "equivalent: a genus row past the degree reach is empty",
-    ("certify.py", "enumerate_region",
-     "for g in range(min(g_max, (d_max + 4) // 2) + 1)"):
-        "equivalent: the one more genus row has 2g - 3 > d_max, so is empty",
-    ("chern.py", "degeneracy_count","c = total_chern(expr, 3)"):
-        "equivalent: a longer series, whose extra term is never read",
-    ("certify.py", "_Column.derived",
-     "key.append(at := at if (at <= 2) else 2) # 0 at 2g-3, 1 at 2g-2"):
-        "equivalent: at == 2 gives the index 2 either way",
-    ("certify.py", "_Column.derived",
-     "key.append(at := at if at < 3 else 2) # 0 at 2g-3, 1 at 2g-2"):
-        "equivalent: at == 2 gives the index 2 either way",
-    ("certify.py", "_Column.derived",
-     "key.append(at := at if at < 2 else 3) # 0 at 2g-3, 1 at 2g-2"):
-        "equivalent: from 2g-1 on the index is only a dict key, and 3 is as "
-        "distinct from 0 and 1 as 2",
-    ("cli.py", "run_table", "width = 6 if args.verify else 3"):
-        "equivalent: the row has five columns, so [:6] is [:5]",
-    ("series.py", "invert", "out = [inv0] + [Fraction(1)] * n"):
-        "equivalent: each placeholder is assigned before it is read",
-}
-
 
 def _variants(node: ast.AST):
     """Each one-operator variant of ``node``, in sets A and B."""
@@ -144,10 +116,6 @@ def _skipped(tree: ast.Module) -> set[int]:
     return {id(n) for root in roots for n in ast.walk(root)}
 
 
-def _in_scope(file: str, unit: str, only: set[str] | None) -> bool:
-    return only is None or bool({unit, f"{file}:{unit}"} & only)
-
-
 def mutants(path: Path, only: set[str] | None):
     """(unit, description, mutated source) for each mutant of one file."""
     source = path.read_text()
@@ -155,7 +123,7 @@ def mutants(path: Path, only: set[str] | None):
     tree = ast.parse(source)
     skipped = _skipped(tree)
     for unit, nodes in _units(tree):
-        if not _in_scope(path.name, unit, only):
+        if only is not None and not {unit, f"{path.name}:{unit}"} & only:
             continue
         for node in (n for root in nodes for n in ast.walk(root)
                      if isinstance(n, ast.expr) and id(n) not in skipped):
@@ -180,8 +148,10 @@ def run(copy_root: Path) -> str | None:
     when it survives: the golden pre-pass, then the suite if the pre-pass
     passes."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    tests = sorted((p.name for p in copy_root.glob("tests/test_*.py")),
-                   key=lambda name: (ORDER.get(name, 1), name))
+    # the golden module has just passed; the CLI's processes are slow
+    tests = sorted((p.name for p in copy_root.glob("tests/test_*.py")
+                    if p.name != "test_golden.py"),
+                   key=lambda name: (name == "test_cli.py", name))
     for stage, command, extra in (
             ("golden pre-pass", GOLDEN, {"PYTHONPATH": "src"}),
             ("suite", PYTEST + [f"tests/{name}" for name in tests], {})):
@@ -203,20 +173,23 @@ def main(argv: list[str] | None = None) -> int:
                         help="print the mutants and run nothing")
     args = parser.parse_args(argv)
     only = set(args.only) if args.only else None
-    found = [(path, *mutant) for path in sorted(PACKAGE.glob("*.py"))
+    paths = sorted(PACKAGE.glob("*.py"))
+    known = {name for path in paths
+             for unit, _ in _units(ast.parse(path.read_text()))
+             for name in (unit, f"{path.name}:{unit}")}
+    unknown = sorted((only or set()) - known)
+    for name in unknown:
+        print(f"unknown unit: {name}", file=sys.stderr)
+    if unknown:
+        return 2
+    found = [(path, *mutant) for path in paths
              for mutant in mutants(path, only)]
-    made = {(path.name, unit, description)
-            for path, unit, description, _ in found}
-    stale = [key for key in ALLOWED
-             if key not in made and _in_scope(*key[:2], only)]
-    for file, unit, description in stale:
-        print(f"{file}:{unit}: {description}  [STALE: no mutant makes it]")
     if args.list:
         for path, unit, description, _ in found:
             print(f"{path.name}:{unit}: {description}")
-        print(f"{len(found)} mutants, {len(stale)} stale allowances")
-        return 1 if stale else 0
-    start, unexpected = time.monotonic(), len(stale)
+        print(f"{len(found)} mutants")
+        return 0
+    start, survivors = time.monotonic(), 0
     with tempfile.TemporaryDirectory(prefix="mutants-") as workdir:
         copy_root = Path(workdir) / "repo"
         shutil.copytree(ROOT, copy_root, ignore=shutil.ignore_patterns(
@@ -230,15 +203,12 @@ def main(argv: list[str] | None = None) -> int:
             target.write_text(source)
             failed = run(copy_root)
             target.write_text(path.read_text())
-            status = "killed"
-            if failed is None:
-                reason = ALLOWED.get((path.name, unit, description))
-                unexpected += reason is None
-                status = "SURVIVED" if reason is None else f"allowed: {reason}"
+            survivors += failed is None
+            status = "killed" if failed is not None else "SURVIVED"
             print(f"{path.name}:{unit}: {description}  [{status}]", flush=True)
-    print(f"{len(found)} mutants, {unexpected} unexpected survivors or "
-          f"stale allowances, {time.monotonic() - start:.0f} s")
-    return 1 if unexpected else 0
+    print(f"{len(found)} mutants, {survivors} survivors, "
+          f"{time.monotonic() - start:.0f} s")
+    return 1 if survivors else 0
 
 
 if __name__ == "__main__":

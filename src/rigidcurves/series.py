@@ -142,18 +142,18 @@ def int_pow(a: TruncatedSeries, exponent: int) -> TruncatedSeries:
 def binomial_series(c: int, e: int, order: int) -> TruncatedSeries:
     """The truncation of (1 + c*h)**e for any integer exponent ``e``.
 
-    Coefficient of h^k is binom(e, k) * c**k with the generalized binomial
-    coefficient, so negative exponents expand into the full binomial series.
-    binom(e, k) is an integer for every integer ``e``, so it is carried as a
-    plain int; a non-integer exponent is rejected rather than floored.
+    Coefficient of h^k is the integer binom(e, k) * c**k (generalized, so a
+    negative ``e`` gives the full binomial series), carried as a plain int
+    and stepped as term(k) = term(k-1) * c*(e-k+1) // k; the ``//`` is exact
+    because binom(e, k-1) * (e-k+1) == k * binom(e, k).  A non-integer
+    exponent is rejected rather than floored.
     """
     if not isinstance(e, int):
         raise TypeError(f"exponent must be an int, got {type(e).__name__}")
     coeffs: list[Rational] = [1]
-    binom = 1
-    c_power = 1
+    term, factor = 1, c * e
     for k in range(1, order + 1):
-        binom = binom * (e - k + 1) // k
-        c_power *= c
-        coeffs.append(binom * c_power)
+        term = term * factor // k
+        factor -= c
+        coeffs.append(term)
     return TruncatedSeries(order, tuple(coeffs))

@@ -160,6 +160,11 @@ class TestLargeExcessCount:
         for n in (ell + 2, 2 * ell):
             assert excess_count(ExcessProblem(n, ell)) == math.comb(n - 2, ell)
 
+    def test_largest_count_the_cli_admits(self):
+        # --n stops at ENUMERATION_GUARD = 10000, and C(9998, ell) peaks at
+        # ell = 4999, so the recurrence carries its largest integers here
+        assert excess_count(ExcessProblem(10000, 4999)) == math.comb(9998, 4999)
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_property_up_to_ell_400(self, data):

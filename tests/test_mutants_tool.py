@@ -17,12 +17,14 @@ def tool(*args):
 
 
 def test_list_ends_with_the_number_of_mutants_listed():
-    result = tool("--list", "--only", "invert")
-    assert result.returncode == 0, result.stdout + result.stderr
-    *listed, last = result.stdout.splitlines()
-    assert listed and all(line.startswith("series.py:invert: ")
-                          for line in listed)
-    assert last == f"{len(listed)} mutants"
+    for unit, file in (("invert", "series.py"),
+                       ("CicyType.<body>", "certify.py")):
+        result = tool("--list", "--only", unit)
+        assert result.returncode == 0, result.stdout + result.stderr
+        *listed, last = result.stdout.splitlines()
+        assert listed and all(line.startswith(f"{file}:{unit}: ")
+                              for line in listed)
+        assert last == f"{len(listed)} mutants"
 
 
 @pytest.mark.parametrize("listing", [["--list"], []])
@@ -45,6 +47,14 @@ def f(a, b):
     neg = not a
     flag = True
     pick = a if b else b
+    a += b
+
+
+class K:
+    n = 1
+
+    def m(self):
+        return self
 """
 
 
@@ -56,6 +66,8 @@ def test_each_operator_has_its_documented_variant(tmp_path):
     path.write_text(SYNTHETIC)
     found = list(module.mutants(path, None))
     assert sorted((unit, description) for unit, description, _ in found) == [
+        ("K.<body>", "n = 2"),
+        ("f", "a -= b"),
         ("f", "both = (a or b)"),
         ("f", "flag = False"),
         ("f", "neg = (a)"),
@@ -73,4 +85,7 @@ def test_each_operator_has_its_documented_variant(tmp_path):
                    in zip(original, source.splitlines()) if old != new]
         assert [" ".join(new.split()) for _, new in changed] == [description]
     assert list(module.mutants(path, {"g"})) == []
-    assert list(module.mutants(path, {"synthetic.py:f"})) == found
+    assert list(module.mutants(path, {"synthetic.py:f"})) == [
+        mutant for mutant in found if mutant[0] == "f"]
+    assert list(module.mutants(path, {"K.<body>"})) == [
+        mutant for mutant in found if mutant[0] == "K.<body>"]

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -239,3 +240,14 @@ class TestBinomialSeries:
                     direct = binomial_series(c, e, order)
                     base = TruncatedSeries.from_polynomial((1, c), order)
                     assert direct == int_pow(base, e), (c, e, order)
+
+    @pytest.mark.parametrize("order", [0, 1, 64, 520])
+    def test_closed_form_at_large_order(self, order):
+        # an inexact // in the recurrence would first show at large order
+        for c in (-3, -2, -1, 0, 1, 2, 5):
+            for e in (-600, -37, -1, 0, 1, 7, 600):
+                expected = tuple(
+                    (comb(e, k) if e >= 0
+                     else (-1) ** k * comb(k - e - 1, k)) * c**k
+                    for k in range(order + 1))
+                assert binomial_series(c, e, order).coeffs == expected, (c, e)

@@ -9,7 +9,8 @@ Each mutant changes one operator or literal of ``src/rigidcurves``:
 * set A: a comparison swapped for its neighbour (``<`` and ``<=``, ``>`` and
   ``>=``, ``==`` and ``!=``), or an int literal plus 1;
 * set B: ``+`` -> ``-``, ``-`` -> ``+``, ``*`` -> ``+``, ``//`` -> ``*``,
-  ``%`` -> ``//``, ``and`` and ``or`` swapped, a ``not`` dropped, a bool
+  ``%`` -> ``//``, in expressions and in augmented assignments (``+=`` ->
+  ``-=`` and so on), ``and`` and ``or`` swapped, a ``not`` dropped, a bool
   literal flipped, or the two arms of a conditional expression swapped.
 
 Every mutant is written into one copy of the repository.  There the golden
@@ -28,7 +29,8 @@ No survivor is excused: the exit code is 1 when any mutant survives, else
 it is not made, or add a test of the work it changes.
 
 ``--only`` takes function names (``knutsen_exists``, ``Certificate.warnings``,
-``<module>`` for top-level code), optionally as ``file.py:name``.  A name
+``<module>`` for top-level code, ``CicyType.<body>`` for the statements of a
+class body outside its methods), optionally as ``file.py:name``.  A name
 that matches no function is printed as ``unknown unit: NAME``, and the tool
 exits 2 before it copies or runs anything.
 """
@@ -77,6 +79,9 @@ def _variants(node: ast.AST):
         yield ast.Constant(not node.value)
     elif isinstance(node, ast.BinOp) and type(node.op) in ARITHMETIC:
         yield ast.BinOp(node.left, ARITHMETIC[type(node.op)](), node.right)
+    elif isinstance(node, ast.AugAssign) and type(node.op) in ARITHMETIC:
+        yield ast.AugAssign(node.target, ARITHMETIC[type(node.op)](),
+                            node.value)
     elif isinstance(node, ast.BoolOp):
         yield ast.BoolOp(BOOLEAN[type(node.op)](), node.values)
     elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
@@ -85,16 +90,21 @@ def _variants(node: ast.AST):
         yield ast.IfExp(node.test, node.orelse, node.body)
 
 
+def _plain(body: list[ast.stmt]) -> list[ast.stmt]:
+    return [s for s in body
+            if not isinstance(s, (ast.FunctionDef, ast.ClassDef))]
+
+
 def _units(tree: ast.Module):
-    """(qualified name, node) of each function, and ``<module>`` for the
-    top-level statements that are not function or class definitions."""
-    top = [s for s in tree.body
-           if not isinstance(s, (ast.FunctionDef, ast.ClassDef))]
-    yield "<module>", top
+    """(qualified name, nodes) of each function, ``<module>`` for the
+    top-level statements that are not function or class definitions, and
+    ``Class.<body>`` for those of each class body."""
+    yield "<module>", _plain(tree.body)
     stack = [("", s) for s in tree.body]
     while stack:
         prefix, node = stack.pop(0)
         if isinstance(node, ast.ClassDef):
+            yield f"{prefix}{node.name}.<body>", _plain(node.body)
             stack[:0] = [(f"{prefix}{node.name}.", s) for s in node.body]
         elif isinstance(node, ast.FunctionDef):
             yield prefix + node.name, [node]
@@ -126,10 +136,11 @@ def mutants(path: Path, only: set[str] | None):
         if only is not None and not {unit, f"{path.name}:{unit}"} & only:
             continue
         for node in (n for root in nodes for n in ast.walk(root)
-                     if isinstance(n, ast.expr) and id(n) not in skipped):
+                     if isinstance(n, (ast.expr, ast.AugAssign))
+                     and id(n) not in skipped):
             for variant in _variants(node):
                 text = ast.unparse(variant)
-                if not isinstance(variant, ast.Constant):
+                if not isinstance(variant, (ast.Constant, ast.AugAssign)):
                     text = f"({text})"
                 first, last = node.lineno - 1, node.end_lineno - 1
                 head = lines[first][:node.col_offset]

@@ -4,7 +4,9 @@ Exit codes: 0 = success/certified, 1 = rejected, 2 = invalid input,
 3 = table verification mismatch, 74 = stdout cannot be written (a full disk,
 a closed descriptor; one line on stderr), 141 = stdout closed by its reader
 (as if killed by SIGPIPE, with nothing on stderr).  Payload goes to stdout,
-diagnostics to stderr; identical invocations produce byte-identical output.
+diagnostics to stderr; stdout carries only payload even with fd 2 closed.  An
+error line that cannot be written is dropped, and the exit code alone reports
+the failure.  Identical invocations produce byte-identical output.
 JSON is exactly ``json.dumps(document, indent=2)``, and every command writes
 it through one writer, ``_member``, from its records' ``members()``; no
 command builds a dict or calls ``to_dict()``.  ``enumerate`` streams
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
@@ -41,9 +44,12 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 _FORMATS = ("json", "csv", "markdown")
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_INVALID
+def _fail(message: str, code: int) -> int:
+    try:  # as in argparse 3.11+, a line that cannot be written is dropped
+        sys.stderr.write(f"error: {message}\n")
+    except OSError:
+        pass
+    return code
 
 
 def _family(text: str) -> CicyType:
@@ -82,8 +88,11 @@ def _member(slots: dict, at: object, value: object, newline: str) -> str:
     is kept in slot ``at`` with ``value`` and the slots under it, and reused
     while ``value`` is the very object held there (``is``): records are
     immutable and the slot keeps its object alive, so reused text is always
-    that of ``value``.  A scalar member or item is encoded in place; any
-    other has a slot of its own, so only the records not held are encoded.
+    that of ``value``, and the output is the same whether or not records are
+    shared.  Equality would not do: ``True == 1``, and a record equals one of
+    another type with equal fields, yet each encodes differently.  A scalar
+    member or item is encoded in place; any other has a slot of its own, so
+    only the records not held are encoded.
     Any other type raises ``TypeError``: floats, non-``str`` keys, subclasses
     of ``str`` or ``int``, and tuples with no ``members()``."""
     held = slots.get(at)
@@ -160,7 +169,7 @@ def run_enumerate(args: argparse.Namespace) -> int:
     try:
         certificates = enumerate_region(args.type, args.d_max, args.g_max)
     except ValueError as exc:
-        return _fail(str(exc))
+        return _fail(str(exc), EXIT_INVALID)
     if args.format == "json":
         # the document {"input": ..., "certificates": [...]}, written one
         # certificate at a time
@@ -169,7 +178,8 @@ def run_enumerate(args: argparse.Namespace) -> int:
                           ("d_max", args.d_max), ("g_max", args.g_max)))
         write('{\n  "input": ' + _member({}, None, region, "\n  ")
               + ',\n  "certificates": [')
-        # one slot per document path, for this call only (see _member):
+        # one slot per document path, for this call only (see _member), so
+        # their number is bounded by the document's shape, not the region:
         # consecutive certificates mostly share their records
         separator, slots = "\n    ", {}
         for certificate in certificates:
@@ -180,7 +190,9 @@ def run_enumerate(args: argparse.Namespace) -> int:
         _emit_rows(["d", "g", "stated", "derived", "embedding", "n", "count",
                     "warnings"], (), args.format)
         # the cells after d and g, reused while stated.accept and derived are
-        # the ones held (``is``); a column shares its derived verdicts
+        # the ones held (``is``); a column shares its derived verdicts.  Any
+        # other row rebuilds them from _certificate_row, the one definition of
+        # a row, so an equal verdict that is another object costs only time
         write, (start, sep, end) = sys.stdout.write, _ROW_TEXT[args.format]
         accept = derived = None
         for c in certificates:
@@ -220,7 +232,7 @@ def run_count(args: argparse.Namespace) -> int:
     try:
         problem = ExcessProblem(args.n, args.ell)
     except ValueError as exc:  # HypothesisError included
-        return _fail(str(exc))
+        return _fail(str(exc), EXIT_INVALID)
     series_value = excess_count(problem)
     binomial_value = rigid_count(args.n, args.ell)
     print(_member({}, None, _Object((
@@ -276,9 +288,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    if sys.stderr is None:  # fd 2 closed; print and argparse would use stdout
+        sys.stderr = open(os.devnull, "w")
+    if sys.stdout is None:  # fd 1 was closed before the start
+        return _fail("cannot write output: stdout is closed", EXIT_IO_ERROR)
     try:
-        if sys.stdout is None:  # fd 1 was closed before the start
-            raise OSError("stdout is closed")
         try:
             args = _build_parser().parse_args(argv)
         except SystemExit as exc:  # 0 after --help, 2 for an argument error
@@ -286,11 +300,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             code = args.func(args)
         sys.stdout.flush()
+    except BrokenPipeError:
+        return EXIT_BROKEN_PIPE
     except OSError as exc:  # writing stdout: no command reads or opens files
-        if isinstance(exc, BrokenPipeError):
-            return EXIT_BROKEN_PIPE
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO_ERROR
+        return _fail(f"cannot write output: {exc}", EXIT_IO_ERROR)
     return code
 
 

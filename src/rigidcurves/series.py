@@ -146,8 +146,10 @@ def binomial_series(c: int, e: int, order: int) -> TruncatedSeries:
     negative ``e`` gives the full binomial series), carried as a plain int
     and stepped as term(k) = term(k-1) * c*(e-k+1) // k; the ``//`` is exact
     because binom(e, k-1) * (e-k+1) == k * binom(e, k).  A non-integer
-    exponent is rejected rather than floored.
+    root or exponent is rejected rather than floored.
     """
+    if not isinstance(c, int):
+        raise TypeError(f"root must be an int, got {type(c).__name__}")
     if not isinstance(e, int):
         raise TypeError(f"exponent must be an int, got {type(e).__name__}")
     coeffs: list[Rational] = [1]

@@ -194,3 +194,15 @@ def test_count_routes_are_independent(monkeypatch):
 def test_binomial_series_rejects_non_integer_exponent(exponent):
     with pytest.raises(TypeError):
         binomial_series(-1, exponent, 4)
+
+
+# the step ``term * factor // k`` is exact only for an int root: a fractional
+# one would be floored, (1 + h/2)**2 read as 1 + h
+@pytest.mark.parametrize("root", [Fraction(1, 2), Fraction(3), 0.5])
+def test_binomial_series_rejects_non_integer_root(root):
+    with pytest.raises(TypeError, match="root must be an int"):
+        binomial_series(root, 2, 3)
+    with pytest.raises(TypeError, match="root must be an int"):
+        binomial_series(root, -1, 3)
+    with pytest.raises(TypeError, match="root must be an int"):
+        total_chern(BundleExpr(((root, 1),)), 3)

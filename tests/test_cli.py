@@ -37,13 +37,12 @@ from rigidcurves.cli import (
 )
 
 
-def run_process(argv, **kwargs):
+def run_process(argv, stderr=subprocess.PIPE, **kwargs):
     """``python -m rigidcurves argv`` in a fresh interpreter, stderr kept."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(rigidcurves.__file__).resolve().parents[1])
     return subprocess.run([sys.executable, "-m", "rigidcurves", *argv],
-                          stderr=subprocess.PIPE, env=env, timeout=60,
-                          **kwargs)
+                          stderr=stderr, env=env, timeout=60, **kwargs)
 
 
 def run_cli(argv):
@@ -651,6 +650,52 @@ class TestCliContract:
         assert result.returncode == EXIT_IO_ERROR
         assert result.stderr == (
             b"error: cannot write output: stdout is closed\n")
+
+    # invalid input whose error line goes through _fail (count, enumerate)
+    # or through argparse (certify)
+    INVALID = [
+        ["count", "--n", "3", "--ell", "2"],
+        ["enumerate", "--type", "5", "--d-max", "20000", "--g-max", "0"],
+        ["certify", "--type", "7", "--d", "1", "--g", "1"],
+    ]
+
+    @pytest.mark.parametrize("argv", INVALID,
+                             ids=["count", "enumerate", "certify"])
+    def test_closed_stderr_keeps_errors_off_stdout(self, argv):
+        # started with fd 2 closed, as by ``2>&-``: Python has no sys.stderr,
+        # and print() and argparse would fall back to stdout
+        result = run_process(argv, stdout=subprocess.PIPE,
+                             preexec_fn=lambda: os.close(2))
+        assert (result.returncode, result.stdout) == (2, b"")
+
+    @pytest.mark.parametrize("argv", INVALID,
+                             ids=["count", "enumerate", "certify"])
+    def test_no_stderr_in_process_keeps_errors_off_stdout(self, monkeypatch,
+                                                           argv):
+        monkeypatch.setattr(sys, "stderr", None)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        sink = sys.stderr
+        sink.close()  # main opened it in place of the missing stream
+        assert (code, out.getvalue(), sink.name) == (2, "", os.devnull)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="no /dev/full to write to")
+    def test_full_disk_with_closed_stderr_exits_74(self):
+        # the error line cannot be written; the exit code alone reports it
+        with open("/dev/full", "wb") as full:
+            result = run_process(
+                ["certify", "--type", "5", "--d", "6", "--g", "2"],
+                stdout=full, preexec_fn=lambda: os.close(2))
+        assert result.returncode == EXIT_IO_ERROR
+
+    def test_read_only_stderr_exits_2(self):
+        # fd 2 open but not writable: the error line is dropped, not raised
+        with open(os.devnull, "rb") as read_only:
+            result = run_process(["count", "--n", "3", "--ell", "2"],
+                                 stdout=subprocess.PIPE, stderr=read_only)
+        assert (result.returncode, result.stdout) == (2, b"")
 
     @pytest.mark.parametrize(
         "argv",

@@ -314,8 +314,12 @@ class _Column:
     clauses that do not read ``d`` and the numbers the rest compare ``d``
     against (2g-3, 4m and 4mg, min(2g-2, g+m)); each row's m, margin and
     count; and the verdicts by the rows' Knutsen verdicts and, below 2g-1, d.
-    The stated reason is decided at each point, from the clauses in their
-    order."""
+    A point decides its stated reason from the five facts that read ``d`` and
+    the two constant clauses, in clause order, so it builds only two clauses,
+    its ``StatedVerdict`` and its ``Certificate``, through ``_record``.  A
+    derived verdict is built, and its rows routed, once per distinct key, and
+    the column's certificates share it; a one-point column (``certify`` and
+    the two modes) routes each row once, at its own ``d``."""
 
     def __init__(self, cicy: CicyType, g: int) -> None:
         self.cicy, self.g, self.case = cicy, g, _STATED_CASES[cicy]

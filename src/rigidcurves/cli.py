@@ -98,32 +98,29 @@ def _member(slots: dict, at: object, value: object, newline: str) -> str:
     held = slots.get(at)
     if held is not None and held[0] is value:
         return held[1]
-    nested, inner, parts = {} if held is None else held[2], newline + "  ", []
     if type(value) is tuple:
-        for i, item in enumerate(value):
-            scalar = _SCALARS.get(type(item))
-            parts.append(scalar(item) if scalar
-                         else _member(nested, i, item, inner))
-        # one f-string copies the joined parts once; before Python 3.12 its
-        # expressions may hold no backslash
-        text = (f"[{inner}{(',' + inner).join(parts)}{newline}]"
-                if parts else "[]")
+        pairs, labelled, start, end = enumerate(value), False, "[", "]"
     elif isinstance(value, tuple):
         try:  # looked up apart from the call, whose own errors pass through
             members = value.members
         except AttributeError:
             raise TypeError(f"cannot encode {type(value).__name__} as JSON: "
                             "it has no members()") from None
-        for key, item in members():
-            label = _LABELS.get(key) or _LABELS.setdefault(
-                key, encode_basestring_ascii(key) + ": ")
-            scalar = _SCALARS.get(type(item))
-            parts.append(label + (scalar(item) if scalar
-                                  else _member(nested, key, item, inner)))
-        text = (f"{{{inner}{(',' + inner).join(parts)}{newline}}}"
-                if parts else "{}")
+        pairs, labelled, start, end = members(), True, "{", "}"
     else:  # a float, a dict, a str or int subclass...
         raise TypeError(f"cannot encode {type(value).__name__} as JSON")
+    nested, inner, parts = {} if held is None else held[2], newline + "  ", []
+    for key, item in pairs:
+        # a key that is no str raises here, before its item fills a slot
+        label = (_LABELS.get(key) or _LABELS.setdefault(
+            key, encode_basestring_ascii(key) + ": ")) if labelled else ""
+        scalar = _SCALARS.get(type(item))
+        parts.append(label + (scalar(item) if scalar
+                              else _member(nested, key, item, inner)))
+    # one f-string copies the joined parts once; before Python 3.12 its
+    # expressions may hold no backslash
+    text = (f"{start}{inner}{(',' + inner).join(parts)}{newline}{end}"
+            if parts else start + end)
     slots[at] = (value, text, nested)
     return text
 

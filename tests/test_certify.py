@@ -166,6 +166,13 @@ class TestCicyType:
         with pytest.raises(ValueError):
             CicyType.from_string(text)
 
+    @pytest.mark.parametrize("text", ["abc", "", "3;3"])
+    def test_unparsable_text_is_named_in_the_error(self, text):
+        # not int()'s own message, which the CLI would print in its place
+        with pytest.raises(ValueError) as info:
+            CicyType.from_string(text)
+        assert str(info.value) == f"cannot parse multidegree {text!r}"
+
 
 class TestNodeTable:
     def test_matches_expected_rows(self):

@@ -697,6 +697,14 @@ class TestCliContract:
                                  stdout=subprocess.PIPE, stderr=read_only)
         assert (result.returncode, result.stdout) == (2, b"")
 
+    @pytest.mark.parametrize("argv", INVALID[1:], ids=["enumerate", "certify"])
+    def test_read_only_stderr_exits_2_through_each_writer(self, argv):
+        # as above, for _fail's other caller and for argparse's own writer
+        with open(os.devnull, "rb") as read_only:
+            result = run_process(argv, stdout=subprocess.PIPE,
+                                 stderr=read_only)
+        assert (result.returncode, result.stdout) == (2, b"")
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -48,6 +48,14 @@ def f(a, b):
     flag = True
     pick = a if b else b
     a += b
+    same = a is b
+    has = a in b
+    try:
+        a = b
+    except ValueError:
+        a = None
+    except TypeError:
+        raise
 
 
 class K:
@@ -70,11 +78,14 @@ def test_each_operator_has_its_documented_variant(tmp_path):
         ("f", "a -= b"),
         ("f", "both = (a or b)"),
         ("f", "flag = False"),
+        ("f", "has = (a not in b)"),
         ("f", "neg = (a)"),
         ("f", "pick = (b if b else a)"),
         ("f", "q = (a * b)"),
         ("f", "r = (a // b)"),
+        ("f", "raise"),
         ("f", "s = (a - b)"),
+        ("f", "same = (a is not b)"),
         ("f", "x = (a <= b)"),
         ("f", "y = (a != b)"),
         ("f", "z = 2"),

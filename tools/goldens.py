@@ -1,6 +1,6 @@
 """The golden checks under each Python given.
 
-    python tools/goldens.py python3.10 python3.11 python3.12 python3.13
+    python tools/goldens.py python3.11 python3.12 python3.13
 
 For each interpreter, in the order given, ``PYTHON tests/test_golden.py``
 runs from the repository root with ``PYTHONPATH=src`` and

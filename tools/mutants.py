@@ -4,14 +4,18 @@
     python tools/mutants.py --only knutsen_exists Certificate.warnings
     python tools/mutants.py --list           # print the mutants, run nothing
 
-Each mutant changes one operator or literal of ``src/rigidcurves``:
+Each mutant changes one operator, literal or handler of ``src/rigidcurves``:
 
 * set A: a comparison swapped for its neighbour (``<`` and ``<=``, ``>`` and
-  ``>=``, ``==`` and ``!=``), or an int literal plus 1;
+  ``>=``, ``==`` and ``!=``, ``is`` and ``is not``, ``in`` and ``not in``),
+  or an int literal plus 1;
 * set B: ``+`` -> ``-``, ``-`` -> ``+``, ``*`` -> ``+``, ``//`` -> ``*``,
   ``%`` -> ``//``, in expressions and in augmented assignments (``+=`` ->
   ``-=`` and so on), ``and`` and ``or`` swapped, a ``not`` dropped, a bool
-  literal flipped, or the two arms of a conditional expression swapped.
+  literal flipped, or the two arms of a conditional expression swapped;
+* statements: the body of an ``except`` handler replaced by ``raise``, so
+  that the exception it handled goes on (a body that is a bare ``raise``
+  already is left alone).
 
 Every mutant is written into one copy of the repository.  There the golden
 module first runs standalone (``python tests/test_golden.py``, without
@@ -60,7 +64,9 @@ TIMEOUT_S = 600
 MEMORY_BYTES = 2 << 30  # address-space limit of each test run
 
 COMPARE = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE,
-           ast.GtE: ast.Gt, ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
+           ast.GtE: ast.Gt, ast.Eq: ast.NotEq, ast.NotEq: ast.Eq,
+           ast.Is: ast.IsNot, ast.IsNot: ast.Is, ast.In: ast.NotIn,
+           ast.NotIn: ast.In}
 ARITHMETIC = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Add,
               ast.FloorDiv: ast.Mult, ast.Mod: ast.FloorDiv}
 BOOLEAN = {ast.And: ast.Or, ast.Or: ast.And}
@@ -88,6 +94,9 @@ def _variants(node: ast.AST):
         yield node.operand
     elif isinstance(node, ast.IfExp):
         yield ast.IfExp(node.test, node.orelse, node.body)
+    elif isinstance(node, ast.ExceptHandler) and [
+            ast.dump(s) for s in node.body] != ["Raise()"]:  # not a bare raise
+        yield ast.Raise()
 
 
 def _plain(body: list[ast.stmt]) -> list[ast.stmt]:
@@ -136,15 +145,20 @@ def mutants(path: Path, only: set[str] | None):
         if only is not None and not {unit, f"{path.name}:{unit}"} & only:
             continue
         for node in (n for root in nodes for n in ast.walk(root)
-                     if isinstance(n, (ast.expr, ast.AugAssign))
+                     if isinstance(n, (ast.expr, ast.AugAssign,
+                                       ast.ExceptHandler))
                      and id(n) not in skipped):
+            # a handler's variant takes the place of its body
+            span = (node.body if isinstance(node, ast.ExceptHandler)
+                    else [node])
             for variant in _variants(node):
                 text = ast.unparse(variant)
-                if not isinstance(variant, (ast.Constant, ast.AugAssign)):
+                if isinstance(variant, ast.expr) and not isinstance(
+                        variant, ast.Constant):
                     text = f"({text})"
-                first, last = node.lineno - 1, node.end_lineno - 1
-                head = lines[first][:node.col_offset]
-                tail = lines[last][node.end_col_offset:]
+                first, last = span[0].lineno - 1, span[-1].end_lineno - 1
+                head = lines[first][:span[0].col_offset]
+                tail = lines[last][span[-1].end_col_offset:]
                 changed = head + text + tail
                 yield unit, " ".join(changed.split()), "".join(
                     lines[:first] + [changed] + lines[last + 1:])

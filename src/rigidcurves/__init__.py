@@ -18,6 +18,7 @@ from .chern import (
     InvalidEmbeddingError,
     LineTwist,
     ProjectiveCotangent,
+    WorkBoundError,
     degeneracy_count,
     excess_bundle,
     excess_count,

@@ -15,16 +15,24 @@ count used to cross-check the embedding table.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import reduce
 from typing import Iterable, NamedTuple, Sequence
 
 from .k3 import _shown
-from .series import TruncatedSeries, binomial_series, mul
+from .series import Rational, TruncatedSeries, binomial_series, mul
+
+# The largest ell * n.bit_length() a count problem may have, about the bit
+# size of its largest series coefficient: the CLI's largest input,
+# n = 10000 (14 bits) with ell = 9998, sits exactly on it.
+COUNT_WORK_BOUND = 9998 * 14
 
 
 class HypothesisError(ValueError):
     """Node count and dimension violate the requirement n >= ell + 2."""
+
+
+class WorkBoundError(ValueError):
+    """A count problem whose ell * n.bit_length() exceeds COUNT_WORK_BOUND."""
 
 
 class InvalidEmbeddingError(ValueError):
@@ -109,7 +117,9 @@ class _ExcessFields(NamedTuple):
 
 class ExcessProblem(_ExcessFields):
     """Input to the excess-bundle integral: n nodes on the surface, an
-    ell-dimensional linear system of curves through them."""
+    ell-dimensional linear system of curves through them.  Its work is
+    bounded: a problem past COUNT_WORK_BOUND is refused before any series
+    is built."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -120,6 +130,10 @@ class ExcessProblem(_ExcessFields):
         if n < ell + 2:
             raise HypothesisError(
                 f"need n >= ell + 2, got n={_shown(n)}, ell={_shown(ell)}")
+        if ell * n.bit_length() > COUNT_WORK_BOUND:
+            raise WorkBoundError(
+                f"ell * n.bit_length() must be at most {COUNT_WORK_BOUND}, "
+                f"got n={_shown(n)}, ell={_shown(ell)}")
         return super().__new__(cls, n, ell)
 
 
@@ -133,7 +147,7 @@ def excess_bundle(n: int) -> BundleExpr:
     return BundleExpr(((-1, -n),), cotangents=1)
 
 
-def _as_integer(value: Fraction, what: str) -> int:
+def _as_integer(value: Rational, what: str) -> int:
     if value.denominator != 1:
         raise ArithmeticError(f"{what} is not an integer: {value}")
     return value.numerator

@@ -3,9 +3,11 @@
 This is the value type for every intersection-theoretic computation in the
 package: ``h`` is the hyperplane class of a projective space of dimension N,
 and every product is truncated at degree N because higher classes vanish.
-Coefficients are exact rationals throughout; floats are rejected outright,
-since a single rounded coefficient would corrupt every Chern number computed
-downstream.
+Every coefficient is an exact ``int`` or ``Fraction``, never a float: floats
+are rejected outright, since a single rounded coefficient would corrupt every
+Chern number computed downstream.  Integers are not widened, so all-``int``
+inputs stay ``int`` through ``mul``, ``binomial_series`` and the Chern
+classes built from them; ``invert`` gives ``Fraction`` coefficients.
 
 The truncation order is part of the value.  Combining series of different
 orders is a hard error rather than a silent re-truncation: a mismatched
@@ -40,14 +42,16 @@ def _exact(value: Rational) -> Fraction:
 # its input subclasses its fields; its _make, and so _replace, calls cls().
 class _SeriesFields(NamedTuple):
     order: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Rational, ...]
 
 
 class TruncatedSeries(_SeriesFields):
     """c0 + c1*h + ... + cN*h^N with exact rational coefficients.
 
     ``coeffs[k]`` is the coefficient of h^k; the tuple always has exactly
-    ``order + 1`` entries.
+    ``order + 1`` entries.  An exact ``int`` or ``Fraction`` is kept as it
+    is, and any other exact value (a ``bool``, a subclass, a string) becomes
+    a ``Fraction``; equal values give equal, equally hashed series.
     """
 
     __slots__ = ()
@@ -59,9 +63,9 @@ class TruncatedSeries(_SeriesFields):
         if order < 0:
             raise ValueError(f"order must be nonnegative, got {_shown(order)}")
         # exact type tests, inline: isinstance goes through ABCMeta, and a
-        # call per coefficient costs a third of building its Fraction
-        coeffs = tuple([c if type(c) is Fraction else Fraction(c)
-                        if type(c) is int else _exact(c) for c in coeffs])
+        # call per coefficient costs more than the tests
+        coeffs = tuple([c if type(c) is int or type(c) is Fraction
+                        else _exact(c) for c in coeffs])
         if len(coeffs) != order + 1:
             raise ValueError(
                 f"order {_shown(order)} needs {_shown(order + 1)} "
@@ -82,7 +86,7 @@ class TruncatedSeries(_SeriesFields):
         padded += [0] * (order + 1 - len(padded))
         return cls(order, tuple(padded))
 
-    def coefficient(self, k: int) -> Fraction:
+    def coefficient(self, k: int) -> Rational:
         if not 0 <= k <= self.order:
             raise ValueError(f"degree {_shown(k)} outside 0..{self.order}")
         return self.coeffs[k]
@@ -98,7 +102,7 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
             f"cannot multiply series of orders {a.order} and {b.order}"
         )
     n, b_coeffs = a.order, b.coeffs
-    out = [Fraction(0)] * (n + 1)
+    out = [0] * (n + 1)
     for i, ai in enumerate(a.coeffs):
         if ai:
             for j in range(n + 1 - i):
@@ -113,10 +117,10 @@ def invert(a: TruncatedSeries) -> TruncatedSeries:
     if c0 == 0:
         raise NonUnitError("series with zero constant term has no inverse")
     n = a.order
-    inv0 = 1 / c0
+    inv0 = Fraction(1, c0)  # 1 / c0 is a float for an int c0
     out = [inv0]
     for k in range(1, n + 1):
-        acc = Fraction(0)
+        acc = 0
         for j in range(1, k + 1):
             acc += coeffs[j] * out[k - j]
         out.append(-inv0 * acc)

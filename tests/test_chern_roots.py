@@ -2,6 +2,7 @@
 and the independence of the two count routes."""
 
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -11,14 +12,19 @@ from hypothesis import strategies as st
 
 import rigidcurves.chern
 from rigidcurves.chern import (
+    COUNT_WORK_BOUND,
     BundleExpr,
     ExcessProblem,
     HyperplaneSheaf,
+    HypothesisError,
     LineTwist,
     ProjectiveCotangent,
+    WorkBoundError,
     _fold,
+    degeneracy_count,
     excess_bundle,
     excess_count,
+    rigid_count,
     total_chern,
 )
 from rigidcurves.series import (
@@ -102,12 +108,16 @@ class TestAgainstReference:
         expr = BundleExpr.sum_of_line_twists([0, 0]) - BundleExpr.sum_of_line_twists([0])
         assert total_chern(expr, 4).is_one()
 
-    def test_coefficients_are_fractions(self):
+    def test_coefficient_types_of_each_route(self):
+        # binomial series and their products stay int; the reference's
+        # invert makes Fractions, and the two are equal all the same
         terms = [(1, ("twist", 3)), (1, ("twist", -1)), (-1, ("hyperplane",))]
         expr = BundleExpr.sum_of_line_twists([3, -1]) - HyperplaneSheaf()
         assert expr == build(terms)
-        for series in (total_chern(expr, 5), reference_total_chern(terms, 5)):
-            assert all(type(c) is Fraction for c in series.coeffs)
+        library, reference = total_chern(expr, 5), reference_total_chern(terms, 5)
+        assert [type(c) for c in library.coeffs] == [int] * 6
+        assert [type(c) for c in reference.coeffs] == [Fraction] * 6
+        assert library == reference
 
 
 def reference_fold(roots):
@@ -179,6 +189,49 @@ class TestLargeExcessCount:
         assert total_chern(excess_bundle(10**12), 3) == binomial_series(
             -1, 4 - 10**12, 3
         )
+
+    def test_counts_are_exact_ints(self):
+        for count in (excess_count(ExcessProblem(36, 17)),
+                      excess_count(ExcessProblem(10**6, 2)),
+                      degeneracy_count((5,), (4, 1)),
+                      degeneracy_count((2, 2, 2, 2), (2, 2, 2, 1, 1))):
+            assert type(count) is int
+
+
+class TestWorkBound:
+    # n = 16383 is the largest 14-bit count: ell = 9998 sits on the bound
+    # and holds a series of about 14 MB, ell = 9999 is the first past it
+    def test_bound_is_the_largest_cli_input(self):
+        assert COUNT_WORK_BOUND == 9998 * (10000).bit_length()
+
+    def test_count_at_the_bound(self):
+        assert 9998 * (16383).bit_length() == COUNT_WORK_BOUND
+        assert excess_count(ExcessProblem(16383, 9998)) == math.comb(16381, 9998)
+
+    @pytest.mark.parametrize("count", [
+        lambda n, ell: excess_count(ExcessProblem(n, ell)), rigid_count,
+    ], ids=["excess-count", "rigid-count"])
+    @pytest.mark.parametrize("n, ell", [
+        (16383, 9999), (16384, 9332), (2**3322, 43), (10**5000, 10**4999),
+    ], ids=["first-past", "15-bit", "3323-bit", "past-int-to-str-limit"])
+    def test_past_the_bound_builds_no_series(self, count, n, ell):
+        assert ell * n.bit_length() > COUNT_WORK_BOUND
+        tracemalloc.start()
+        try:
+            with pytest.raises(WorkBoundError, match=(
+                    rf"^ell \* n.bit_length\(\) must be at most "
+                    rf"{COUNT_WORK_BOUND}, got n=")):
+                count(n, ell)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one coefficient list at order 9332 alone takes 75 KB
+        assert peak < 2**14
+
+    def test_hypothesis_check_runs_first(self):
+        # n < ell + 2 and far past the bound: the older error is kept
+        with pytest.raises(HypothesisError):
+            ExcessProblem(2**3322, 2**3322)
 
 
 def test_count_routes_are_independent(monkeypatch):

@@ -58,9 +58,12 @@ class TestConstruction:
         with pytest.raises(TypeError):
             TruncatedSeries(1, (1.0, 2))
 
-    def test_integers_coerced_to_fractions(self):
-        s = series(1, 2, 3)
-        assert all(isinstance(c, Fraction) for c in s.coeffs)
+    def test_integers_kept_as_is(self):
+        big = 10**40
+        s = series(1, 2, big)
+        assert [type(c) for c in s.coeffs] == [int] * 3
+        assert s.coeffs == (1, 2, big)
+        assert s.coeffs[2] is big
 
     def test_fraction_coefficients_kept_as_is(self):
         f, g = Fraction(1, 3), Fraction(2)
@@ -68,11 +71,19 @@ class TestConstruction:
         assert s.coeffs[0] is f
         assert s.coeffs[1] is g
 
-    def test_every_exact_coefficient_becomes_a_fraction(self):
+    def test_every_other_exact_coefficient_becomes_a_fraction(self):
         s = series(3, True, False, _Int(4), Fraction(1, 3), _Fraction(2),
                    "1/5")
-        assert [type(c) for c in s.coeffs] == [Fraction] * 7
+        assert [type(c) for c in s.coeffs] == [int] + [Fraction] * 6
         assert s.coeffs == (3, 1, 0, 4, Fraction(1, 3), 2, Fraction(1, 5))
+
+    def test_ints_equal_and_hash_as_the_equal_fractions(self):
+        ints = series(1, -3, 10**40, 0)
+        fractions = series(*map(Fraction, (1, -3, 10**40, 0)))
+        assert [type(c) for c in ints.coeffs] == [int] * 4
+        assert [type(c) for c in fractions.coeffs] == [Fraction] * 4
+        assert ints == fractions
+        assert hash(ints) == hash(fractions)
 
     @pytest.mark.parametrize("value", [_Float(2.0), float("nan")],
                              ids=["float-subclass", "nan"])
@@ -158,10 +169,10 @@ class TestMul:
             assert mul(a, b) == mul(b, a)
             assert mul(mul(a, b), c) == mul(a, mul(b, c))
 
-    def test_integral_input_gives_fractions(self):
+    def test_integral_input_gives_ints(self):
         product = mul(series(1, 2, 3), series(4, 5, 6))
-        assert product == series(4, 13, 28)
-        assert all(type(c) is Fraction for c in product.coeffs)
+        assert product.coeffs == (4, 13, 28)
+        assert [type(c) for c in product.coeffs] == [int] * 3
 
 
 class TestInvert:
@@ -190,6 +201,14 @@ class TestInvert:
         inverse = invert(series(1, 3, 0))
         assert inverse == series(1, -3, 9)
         assert all(type(c) is Fraction for c in inverse.coeffs)
+
+    def test_int_unit_inverse_has_no_float(self):
+        a = TruncatedSeries(2, (3, 1, 0))
+        inverse = invert(a)
+        assert [type(c) for c in inverse.coeffs] == [Fraction] * 3
+        assert inverse.coeffs == (Fraction(1, 3), Fraction(-1, 9),
+                                  Fraction(1, 27))
+        assert mul(a, inverse).is_one()
 
 
 class TestIntPow:

@@ -45,7 +45,7 @@ def _fold(roots: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     merged: dict[int, int] = {}
     for c, e in roots:
         merged[c] = merged.get(c, 0) + e
-    return tuple(sorted((c, e) for c, e in merged.items() if c and e))
+    return tuple(sorted(filter(all, merged.items())))
 
 
 class _BundleFields(NamedTuple):
@@ -64,7 +64,7 @@ class BundleExpr(_BundleFields):
     def __new__(
         cls, roots: Iterable[tuple[int, int]] = (), cotangents: int = 0
     ) -> "BundleExpr":
-        return super().__new__(cls, _fold(roots), cotangents)
+        return tuple.__new__(cls, (_fold(roots), cotangents))
 
     @classmethod
     def sum_of_line_twists(cls, twists: Sequence[int]) -> "BundleExpr":
@@ -134,7 +134,7 @@ class ExcessProblem(_ExcessFields):
             raise WorkBoundError(
                 f"ell * n.bit_length() must be at most {COUNT_WORK_BOUND}, "
                 f"got n={_shown(n)}, ell={_shown(ell)}")
-        return super().__new__(cls, n, ell)
+        return tuple.__new__(cls, (n, ell))
 
 
 def excess_bundle(n: int) -> BundleExpr:
@@ -161,7 +161,7 @@ def excess_count(problem: ExcessProblem) -> int:
     strictly positive on the valid domain.
     """
     series = total_chern(excess_bundle(problem.n), problem.ell)
-    return _as_integer(series.coefficient(problem.ell), "excess count")
+    return _as_integer(series.coeffs[problem.ell], "excess count")
 
 
 def rigid_count(n: int, ell: int) -> int:

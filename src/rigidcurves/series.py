@@ -38,8 +38,16 @@ def _exact(value: Rational) -> Fraction:
     return Fraction(value)
 
 
+def _checked_order(order: int) -> None:
+    if not isinstance(order, int):
+        raise TypeError(f"order must be an int, got {type(order).__name__}")
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {_shown(order)}")
+
+
 # A NamedTuple body cannot define __new__ or _make, so a record that checks
 # its input subclasses its fields; its _make, and so _replace, calls cls().
+# Its __new__ ends in tuple.__new__, a frame short of the generated one.
 class _SeriesFields(NamedTuple):
     order: int
     coeffs: tuple[Rational, ...]
@@ -60,8 +68,7 @@ class TruncatedSeries(_SeriesFields):
     def __new__(
         cls, order: int, coeffs: Sequence[Rational]
     ) -> "TruncatedSeries":
-        if order < 0:
-            raise ValueError(f"order must be nonnegative, got {_shown(order)}")
+        _checked_order(order)
         # exact type tests, inline: isinstance goes through ABCMeta, and a
         # call per coefficient costs more than the tests
         coeffs = tuple([c if type(c) is int or type(c) is Fraction
@@ -71,7 +78,7 @@ class TruncatedSeries(_SeriesFields):
                 f"order {_shown(order)} needs {_shown(order + 1)} "
                 f"coefficients, got {len(coeffs)}"
             )
-        return super().__new__(cls, order, coeffs)
+        return tuple.__new__(cls, (order, coeffs))
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
@@ -150,16 +157,20 @@ def binomial_series(c: int, e: int, order: int) -> TruncatedSeries:
     negative ``e`` gives the full binomial series), carried as a plain int
     and stepped as term(k) = term(k-1) * c*(e-k+1) // k; the ``//`` is exact
     because binom(e, k-1) * (e-k+1) == k * binom(e, k).  A non-integer
-    root or exponent is rejected rather than floored.
+    root or exponent is rejected rather than floored, and the order is
+    checked as the constructor checks it.  These checked ``int`` arguments
+    make every coefficient an exact ``int`` and give exactly ``order + 1``
+    of them, so the result is built past the constructor's scan.
     """
     if not isinstance(c, int):
         raise TypeError(f"root must be an int, got {type(c).__name__}")
     if not isinstance(e, int):
         raise TypeError(f"exponent must be an int, got {type(e).__name__}")
-    coeffs: list[Rational] = [1]
+    _checked_order(order)
+    coeffs: list[int] = [1]
     term, factor = 1, c * e
     for k in range(1, order + 1):
         term = term * factor // k
         factor -= c
         coeffs.append(term)
-    return TruncatedSeries(order, tuple(coeffs))
+    return tuple.__new__(TruncatedSeries, (order, tuple(coeffs)))

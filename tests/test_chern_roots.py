@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rigidcurves.chern
+import rigidcurves.series
 from rigidcurves.chern import (
     COUNT_WORK_BOUND,
     BundleExpr,
@@ -241,6 +242,27 @@ def test_count_routes_are_independent(monkeypatch):
     monkeypatch.setattr(math, "comb", forbidden)
     monkeypatch.setattr(rigidcurves.chern, "rigid_count", forbidden)
     assert excess_count(ExcessProblem(36, 17)) == 2333606220
+
+
+def test_count_route_makes_no_constructor_or_conversion_call(monkeypatch):
+    # binomial_series builds the one series of a count past
+    # TruncatedSeries.__new__, and so past its conversion of coefficients
+    new, exact, calls = TruncatedSeries.__new__, rigidcurves.series._exact, []
+
+    def counted_new(cls, *args):
+        calls.append("__new__")
+        return new(cls, *args)
+
+    def counted_exact(value):
+        calls.append("_exact")
+        return exact(value)
+
+    monkeypatch.setattr(TruncatedSeries, "__new__", staticmethod(counted_new))
+    monkeypatch.setattr(rigidcurves.series, "_exact", counted_exact)
+    assert excess_count(ExcessProblem(1000, 520)) == math.comb(998, 520)
+    assert calls == []
+    TruncatedSeries(1, (True, 2))  # the counters see what they count
+    assert calls == ["__new__", "_exact"]
 
 
 @pytest.mark.parametrize("exponent", [Fraction(1, 2), Fraction(3), 2.0, "2"])

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rigidcurves.series
 from rigidcurves.series import (
@@ -137,6 +139,31 @@ class TestConstruction:
             call()
         assert str(raised.value) == message
 
+    # an integral float or Fraction order would pass the coefficient-count
+    # check, and the series would fail later, in mul, with an unrelated
+    # TypeError
+    @pytest.mark.parametrize("build", [
+        lambda order: TruncatedSeries(order, (1, 2, 3)),
+        lambda order: binomial_series(1, 2, order),
+    ], ids=["constructor", "binomial-series"])
+    @pytest.mark.parametrize("order, error, message", [
+        (2.0, TypeError, "order must be an int, got float"),
+        (Fraction(2), TypeError, "order must be an int, got Fraction"),
+        (-1, ValueError, "order must be nonnegative, got -1"),
+        (-(10**5000), ValueError,
+         "order must be nonnegative, got -<16610-bit integer>"),
+    ], ids=["float", "fraction", "negative", "past-int-to-str-limit"])
+    def test_order_checked_by_both_builders(self, build, order, error,
+                                            message):
+        with pytest.raises(error) as raised:
+            build(order)
+        assert type(raised.value) is error
+        assert str(raised.value) == message
+
+    def test_bool_order_is_an_int(self):
+        assert TruncatedSeries(True, (1, 2)) == series(1, 2)
+        assert binomial_series(1, 2, True) == series(1, 2)
+
 
 class TestIsOne:
     def test_linear_term_counts(self):
@@ -259,6 +286,17 @@ class TestBinomialSeries:
                     direct = binomial_series(c, e, order)
                     base = TruncatedSeries.from_polynomial((1, c), order)
                     assert direct == int_pow(base, e), (c, e, order)
+
+    # the result is built past the constructor's scan, so nothing at run
+    # time checks its length or its coefficient types
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-5, 5), st.integers(-60, 60), st.integers(0, 80))
+    def test_result_is_what_the_constructor_builds(self, c, e, order):
+        s = binomial_series(c, e, order)
+        assert type(s) is TruncatedSeries
+        assert s == TruncatedSeries(order, s.coeffs)
+        assert len(s.coeffs) == order + 1
+        assert [type(k) for k in s.coeffs] == [int] * (order + 1)
 
     @pytest.mark.parametrize("order", [0, 1, 64, 520])
     def test_closed_form_at_large_order(self, order):

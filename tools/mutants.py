@@ -2,6 +2,7 @@
 
     python tools/mutants.py                  # every function
     python tools/mutants.py --only knutsen_exists Certificate.warnings
+    python tools/mutants.py --changed main   # the units that differ from main
     python tools/mutants.py --list           # print the mutants, run nothing
 
 Each mutant changes one operator, literal or handler of ``src/rigidcurves``:
@@ -37,6 +38,15 @@ it is not made, or add a test of the work it changes.
 class body outside its methods), optionally as ``file.py:name``.  A name
 that matches no function is printed as ``unknown unit: NAME``, and the tool
 exits 2 before it copies or runs anything.
+
+``--changed REV`` takes the units whose lines differ between ``REV`` and the
+working tree instead: each new-side hunk of ``git diff -U0 REV --
+src/rigidcurves`` selects the units whose statements it meets, a function
+with its decorators.  A pure deletion selects the units on both sides of
+it.  Files that git does not track are not seen.  The scope is printed as
+``scope: file.py:unit ...`` before anything runs.  A ``REV`` that git cannot
+resolve is printed as ``unknown revision: REV``, and the tool exits 2;
+``--changed`` cannot be combined with ``--only``.
 """
 
 from __future__ import annotations
@@ -119,6 +129,55 @@ def _units(tree: ast.Module):
             yield prefix + node.name, [node]
 
 
+def _spans(tree: ast.Module) -> list[tuple[str, int, int]]:
+    """(unit, first line, last line) of each statement of each unit; a
+    function starts at its first decorator."""
+    return [(unit, (getattr(node, "decorator_list", []) or [node])[0].lineno,
+             node.end_lineno)
+            for unit, nodes in _units(tree) for node in nodes]
+
+
+def changed_units(spans, hunks) -> set[str]:
+    """The units of ``spans`` that a new-side hunk ``(start, count)`` of
+    ``git diff -U0`` meets.  A pure deletion (``count`` 0) lies between
+    lines ``start`` and ``start + 1``, and meets the units of both."""
+    scope = set()
+    for start, count in hunks:
+        last = start + count - 1 if count else start + 1
+        scope.update(unit for unit, first, end in spans
+                     if first <= last and start <= end)
+    return scope
+
+
+def _hunks(diff: str) -> dict[str, list[tuple[int, int]]]:
+    """New-side (start, count) of each hunk of ``git diff -U0``, by file
+    name; neither header can be mistaken for a changed line, which starts
+    with ``+``, ``-`` or a backslash."""
+    hunks: dict[str, list[tuple[int, int]]] = {}
+    for line in diff.splitlines():
+        if line.startswith("diff --git "):
+            name = line.split()[-1].rsplit("/", 1)[-1]
+        elif line.startswith("@@ "):
+            start, _, count = line.split()[2][1:].partition(",")
+            hunks.setdefault(name, []).append((int(start), int(count or 1)))
+    return hunks
+
+
+def _changed(rev: str, paths: list[Path]) -> set[str] | None:
+    """``file.py:unit`` of each unit that differs between ``rev`` and the
+    working tree, or None when git cannot resolve ``rev``."""
+    result = subprocess.run(
+        ["git", "diff", "-U0", "--no-color", "--no-ext-diff",
+         "--end-of-options", rev, "--", "src/rigidcurves"],
+        cwd=ROOT, capture_output=True, text=True)
+    if result.returncode != 0:
+        return None
+    hunks = _hunks(result.stdout)
+    return {f"{path.name}:{unit}" for path in paths
+            for unit in changed_units(_spans(ast.parse(path.read_text())),
+                                      hunks.get(path.name, ()))}
+
+
 def _skipped(tree: ast.Module) -> set[int]:
     """ids of the nodes left alone: annotations and f-string parts (whose
     positions are unreliable), and their subtrees."""
@@ -193,7 +252,11 @@ def run(copy_root: Path) -> str | None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--only", nargs="+", metavar="NAME")
+    scope = parser.add_mutually_exclusive_group()
+    scope.add_argument("--only", nargs="+", metavar="NAME")
+    scope.add_argument("--changed", metavar="REV",
+                       help="the units that differ between REV and the "
+                            "working tree")
     parser.add_argument("--list", action="store_true",
                         help="print the mutants and run nothing")
     args = parser.parse_args(argv)
@@ -207,6 +270,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"unknown unit: {name}", file=sys.stderr)
     if unknown:
         return 2
+    if args.changed is not None:
+        only = _changed(args.changed, paths)
+        if only is None:
+            print(f"unknown revision: {args.changed}", file=sys.stderr)
+            return 2
+        print("scope:", *sorted(only), flush=True)
     found = [(path, *mutant) for path in paths
              for mutant in mutants(path, only)]
     if args.list:
